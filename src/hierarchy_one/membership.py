@@ -142,18 +142,19 @@ def check_pol_group_plus(m: SyntacticMorphism, order: OrderRelation, rel: PairRe
     """POLGP: e ≤ e s e for every idempotent e of S and pair (1, s)."""
     table = np.asarray(m.table)
     one = m.identity
-    candidates = [int(x) for x in np.nonzero(rel.matrix[one])[0]]
+    candidates = np.nonzero(rel.matrix[one])[0]
     for e in m.idempotents_s:
-        for s in candidates:
-            rhs = int(table[table[e, s], e])
-            if not order.matrix[e, rhs]:
-                _, v = _pair_words(m, rel, one, s)
-                return Verdict(False, EQ_POLGP, ViolationWitness(
-                    elements={"e": e, "s": s},
-                    words={"e": m.witness[e], "s": v},
-                    lhs=e,
-                    rhs=rhs,
-                ))
+        rhs = table[table[e, candidates], e]     # e s e for every candidate s
+        bad = np.nonzero(~order.matrix[e, rhs])[0]
+        if len(bad):
+            s = int(candidates[bad[0]])
+            _, v = _pair_words(m, rel, one, s)
+            return Verdict(False, EQ_POLGP, ViolationWitness(
+                elements={"e": e, "s": s},
+                words={"e": m.witness[e], "s": v},
+                lhs=e,
+                rhs=int(rhs[bad[0]]),
+            ))
     return Verdict(True, EQ_POLGP)
 
 

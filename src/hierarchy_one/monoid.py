@@ -62,6 +62,12 @@ class SyntacticMorphism:
 def transition_monoid(d: Dfa, element_budget: Optional[int] = None) -> SyntacticMorphism:
     """Generate the transition monoid of `d` by BFS over transformations.
 
+    The BFS keeps its right Cayley graph `right[x, a]` = x·a and each
+    element's parent and last letter; the table is then filled column by
+    column in BFS order, x·y = (x·parent(y))·letter(y): |M| gathers of
+    length |M|, |M|² × 4 bytes (Froidure & Pin, "Algorithms for computing
+    finite semigroups", 1997).
+
     Raises BudgetError when the monoid would exceed the element budget
     (default 20000, overridable via HIERARCHY_ONE_BUDGET).
     """
@@ -74,48 +80,40 @@ def transition_monoid(d: Dfa, element_budget: Optional[int] = None) -> Syntactic
     index: dict[tuple[int, ...], int] = {ident: 0}
     vectors = [ident]
     witnesses = [""]
-    in_s = [False]
+    parent = [0]
+    last_letter = [0]
+    right: list[list[int]] = []
     head = 0
     while head < len(vectors):
         vec = vectors[head]
+        edges = []
         for a, lv in enumerate(letter_vec):
             composed = tuple(lv[q] for q in vec)
             got = index.get(composed)
             if got is None:
                 if len(vectors) >= budget:
                     raise BudgetError(
-                        f"transition monoid exceeded the element budget ({budget})"
+                        f"transition monoid exceeded the element budget ({budget}) at stage monoid BFS: "
+                        f"DFA with {n} states, {len(vectors)} elements found, {head} expanded"
                     )
-                index[composed] = len(vectors)
+                got = index[composed] = len(vectors)
                 vectors.append(composed)
                 witnesses.append(witnesses[head] + letters[a])
-                in_s.append(True)
-            else:
-                in_s[got] = True
+                parent.append(head)
+                last_letter.append(a)
+            edges.append(got)
+        right.append(edges)
         head += 1
 
     count = len(vectors)
-    tr = np.array(vectors, dtype=np.int64)
+    right_table = np.array(right, dtype=np.int32)
     table = np.empty((count, count), dtype=np.int32)
-    if n <= 15:
-        radix = n ** np.arange(n, dtype=np.int64)
-        codes = tr @ radix
-        sort = np.argsort(codes, kind="stable")
-        sorted_codes = codes[sort]
-        for y in range(count):
-            composed = tr[y][tr]  # row x = (apply x, then y)
-            col_codes = composed @ radix
-            table[:, y] = sort[np.searchsorted(sorted_codes, col_codes)]
-    else:
-        for y in range(count):
-            vy = vectors[y]
-            for x in range(count):
-                table[x, y] = index[tuple(vy[q] for q in vectors[x])]
+    table[:, 0] = np.arange(count, dtype=np.int32)
+    for y in range(1, count):
+        table[:, y] = right_table[table[:, parent[y]], last_letter[y]]
 
-    accepting = frozenset(
-        int(x) for x in np.nonzero(np.isin(tr[:, d.initial], sorted(d.finals)))[0]
-    )
-    nonempty = frozenset(i for i, flag in enumerate(in_s) if flag)
+    accepting = frozenset(x for x, vec in enumerate(vectors) if vec[d.initial] in d.finals)
+    nonempty = frozenset(x for edges in right for x in edges)
     diag = table[np.arange(count), np.arange(count)]
     idem_s = tuple(int(x) for x in np.nonzero(diag == np.arange(count))[0] if int(x) in nonempty)
 
@@ -124,7 +122,7 @@ def transition_monoid(d: Dfa, element_budget: Optional[int] = None) -> Syntactic
         element_count=count,
         table=table,
         identity=0,
-        letter_image={letters[a]: index[letter_vec[a]] for a in range(len(letters))},
+        letter_image={letters[a]: int(right_table[0, a]) for a in range(len(letters))},
         accepting=accepting,
         witness=tuple(witnesses),
         nonempty_image=nonempty,

@@ -1,11 +1,20 @@
 """Shared fixtures: the seeded random DFA corpus and the golden verdicts."""
 
+import os
 import random
+from pathlib import Path
 
 import pytest
 
 from hierarchy_one.lang import Dfa, minimize
 from hierarchy_one.monoid import transition_monoid
+
+# pyproject's `pythonpath` puts src/ on this process's path only; export it so
+# that tests starting `python -m hierarchy_one.cli` find the package without
+# an install too.
+_SRC = str(Path(__file__).resolve().parent.parent / "src")
+os.environ["PYTHONPATH"] = os.pathsep.join(
+    p for p in (_SRC, os.environ.get("PYTHONPATH")) if p)
 
 CORPUS_SEED = 1202
 CORPUS_SIZE = 200

@@ -31,7 +31,7 @@ from hierarchy_one.membership import (
     verify_witness,
 )
 from hierarchy_one.monoid import syntactic_preorder, transition_monoid
-from hierarchy_one.pairs import group_from_dict, st_pairs
+from hierarchy_one.pairs import explicit_pairs, group_from_dict, mod_pairs, st_pairs
 from tests.conftest import GOLDEN_VERDICTS
 from tests.test_monoid import hand_transition_monoid
 
@@ -198,6 +198,40 @@ def test_pol_results_carry_equation_tags(morphism_corpus):
     rel = st_pairs(m)
     assert check_pol(m, order, rel).equation == EQ_POLC
     assert check_bpol_group_plus(m, rel).equation == EQ_WGONE
+
+
+def loop_pol_group_plus(m, order, rel):
+    """POLGP swept one (e, s) at a time: e in E(S) order, then s ascending.
+    Returns the first violation as (e, s, e s e), or None."""
+    table = m.table
+    for e in m.idempotents_s:
+        for s in range(m.element_count):
+            if rel.matrix[m.identity, s]:
+                rhs = int(table[table[e, s], e])
+                if not order.matrix[e, rhs]:
+                    return (e, s, rhs)
+    return None
+
+
+def test_pol_group_plus_first_violation_matches_the_pair_loop(morphism_corpus):
+    rng = random.Random(919)
+    refuted = 0
+    for _, m in morphism_corpus:
+        order = syntactic_preorder(m)
+        n = m.element_count
+        # random (1, s) subsets reach non-members the full relations miss
+        sub = explicit_pairs(m, [(m.identity, s) for s in range(n) if rng.random() < 0.5])
+        for rel in (st_pairs(m), mod_pairs(m), sub):
+            expected = loop_pol_group_plus(m, order, rel)
+            verdict = check_pol_group_plus(m, order, rel)
+            assert verdict.member == (expected is None)
+            if expected is not None:
+                e, s, rhs = expected
+                assert verdict.witness.elements == {"e": e, "s": s}
+                assert (verdict.witness.lhs, verdict.witness.rhs) == (e, rhs)
+                assert verify_witness(m, verdict, order=order)
+                refuted += 1
+    assert refuted > 100
 
 
 # --- witness verification -------------------------------------------------------

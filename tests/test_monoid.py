@@ -54,6 +54,11 @@ def test_table_matches_hand_composition_for_ab_star():
     assert m.identity == 0
 
 
+def ladder_dfa(k):
+    """The k-th-letter-from-end language: 2^k states, |M| = 2^(k+1) - 1."""
+    return minimize(compile_dfa("(a|b)*a" + "(a|b)" * (k - 1), "ab"))
+
+
 def test_table_matches_hand_composition_on_random_dfas():
     rng = random.Random(515)
     for _ in range(25):
@@ -62,6 +67,21 @@ def test_table_matches_hand_composition_on_random_dfas():
         m = transition_monoid(d)
         assert m.element_count == len(index)
         assert [[int(v) for v in row] for row in m.table] == table
+    # more than 15 states, and a cyclic monoid with 17 elements
+    larger = [(ladder_dfa(4), 16, 31), (ladder_dfa(5), 32, 63),
+              (minimize(compile_dfa("(" + "a" * 17 + ")*", "a")), 17, 17)]
+    for d, states, size in larger:
+        index, words, table = hand_transition_monoid(d)
+        m = transition_monoid(d)
+        assert (d.states, m.element_count, len(index)) == (states, size, size)
+        assert list(m.witness) == words
+        assert [[int(v) for v in row] for row in m.table] == table
+    for k in (6, 7):
+        m = transition_monoid(ladder_dfa(k))
+        t = np.asarray(m.table)
+        ids = np.arange(m.element_count)
+        assert (t[m.identity, :] == ids).all() and (t[:, m.identity] == ids).all()
+        assert np.array_equal(t[t, :], t[:, t])  # (xy)z == x(yz)
 
 
 def test_monoid_sizes_for_named_languages():
@@ -231,4 +251,11 @@ def test_group_detection():
 def test_element_budget_is_enforced():
     d = minimize(compile_dfa("(a|b)*a(a|b)(a|b)(a|b)", "ab"))
     with pytest.raises(BudgetError):
+        transition_monoid(d, element_budget=5)
+
+
+def test_element_budget_error_names_stage_and_size():
+    d = minimize(compile_dfa("(a|b)*a(a|b)(a|b)(a|b)", "ab"))
+    with pytest.raises(BudgetError, match=r"budget \(5\) at stage monoid BFS: "
+                       r"DFA with 16 states, 5 elements found, 2 expanded$"):
         transition_monoid(d, element_budget=5)
