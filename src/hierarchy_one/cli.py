@@ -6,7 +6,8 @@ cover), decompose (guarded block decomposition), batch (manifest of decide
 cases with expected verdicts, run in a worker pool).
 
 Exit codes: decide uses 0 member / 1 non-member / 2 error / 3 conditional
-(an uncertified pair relation). cover exits 0 only for certified covers.
+(a non-member verdict over an uncertified pair relation). cover exits 0 only
+for certified covers.
 pairs exits 3 when the relation is uncertified. Everything else: 0 ok,
 2 error.
 """
@@ -125,9 +126,12 @@ def _show_word(w: str) -> str:
 
 
 def _decide_exit(report: Report) -> int:
-    if not report.certified:
-        return EXIT_CONDITIONAL
-    return EXIT_MEMBER if report.member else EXIT_NONMEMBER
+    # An uncertified relation holds every true pair and maybe more, and the
+    # equations hold for every pair: a member verdict is final, only a
+    # non-member verdict may rest on a pair the exact relation lacks.
+    if report.member:
+        return EXIT_MEMBER
+    return EXIT_NONMEMBER if report.certified else EXIT_CONDITIONAL
 
 
 def _print_report(report: Report, show_witness: bool) -> None:
@@ -140,10 +144,9 @@ def _print_report(report: Report, show_witness: bool) -> None:
     if report.pair_count is not None:
         print(f", {report.pair_count} pairs", end="")
     print(f" [{report.elapsed_s:.3f}s]")
-    if not report.certified:
-        lean = "member" if report.member else "non-member"
-        print(f"  CONDITIONAL: the pair relation was not certified within "
-              f"budget; verdict leans {lean}")
+    if _decide_exit(report) == EXIT_CONDITIONAL:
+        print("  CONDITIONAL: the pair relation was not certified within "
+              "budget; the violation may use a pair the exact relation lacks")
     w = report.witness
     if w is not None:
         roles = sorted(w.elements)
@@ -340,13 +343,9 @@ def _batch_case(payload: dict) -> dict:
         if basis == "gr" and (level == "pol" or plus):
             raise UsageError(_GR_MESSAGE)
         text = payload["input"]
-        if _looks_like_file(text):
-            source = _load_language(text, payload.get("alphabet"),
-                                    base_dir=payload.get("_dir", "."),
-                                    state_budget=payload.get("_budget"))
-        else:
-            source = _load_language(text, payload.get("alphabet"),
-                                    state_budget=payload.get("_budget"))
+        source = _load_language(text, payload.get("alphabet"),
+                                base_dir=payload.get("_dir", "."),
+                                state_budget=payload.get("_budget"))
         report = decide(source, basis=basis, level=level, plus=plus,
                         label=text, state_budget=payload.get("_budget"),
                         element_budget=payload.get("_budget"),

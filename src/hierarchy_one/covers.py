@@ -62,7 +62,9 @@ def up_arrow(l_dfa: Dfa, word: str, state_budget: Optional[int] = None) -> Dfa:
             if nxt not in index:
                 if len(order) >= budget:
                     raise BudgetError(
-                        f"determinization exceeded the {budget}-state budget")
+                        f"determinization exceeded the state budget ({budget}) at stage "
+                        f"up_arrow determinization: DFA with {n_states} states, word of "
+                        f"length {len(word)}, {len(order)} states found, {len(rows)} expanded")
                 index[nxt] = len(order)
                 order.append(nxt)
                 queue.append(nxt)

@@ -212,7 +212,9 @@ def compile_dfa(
             if nxt not in index:
                 if len(index) >= budget:
                     raise BudgetError(
-                        f"subset construction exceeded the state budget ({budget})"
+                        f"subset construction exceeded the state budget ({budget}) at stage "
+                        f"subset construction: NFA with {len(nfa.eps)} nodes, "
+                        f"{len(order)} states found, {len(delta_rows)} expanded"
                     )
                 index[nxt] = len(order)
                 order.append(nxt)

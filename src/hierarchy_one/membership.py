@@ -3,9 +3,12 @@
 Each checker sweeps its equation over the monoid and reports the first
 violation in lexicographic sweep order — (q, s) pairs outermost (sorted),
 then idempotents (e, f), then the inner (r, t) plane, which is evaluated as
-one vectorized block so early exits stay cheap. A verdict's witness can be
-re-derived: its words evaluate to its elements, and the equation sides
-recompute from the elements alone.
+one vectorized block so early exits stay cheap. WGONE keeps that order but
+walks it in chunks that double in size: its blocks depend only on the
+class (e, eqf, esf), so each chunk evaluates just the classes it has not
+met before, all at once. A verdict's witness can be re-derived: its words
+evaluate to its elements, and the equation sides recompute from the
+elements alone.
 
 Equation tags:
   POLC   x^{ω+1} ≤ x^ω y x^ω            (generic polynomial closure)
@@ -198,48 +201,85 @@ def check_bpol_group(m: SyntacticMorphism, rel: PairRelation) -> Verdict:
     return Verdict(True, EQ_GONE)
 
 
+# WGONE chunk sizes, in (r, t) entries of the documented sweep: the first
+# chunk holds the whole sweep of a monoid with |M| ≤ 3, later ones double
+# up to the cap, which bounds a chunk's temporaries to a few tens of MB.
+_FIRST_CHUNK = 1 << 8
+_CHUNK_CAP = 1 << 20
+
+
 def check_bpol_group_plus(m: SyntacticMorphism, rel: PairRelation) -> Verdict:
     """WGONE: (eqfre)^ω (esfte)^{ω+1} = (eqfre)^ω q f t (esfte)^ω for every
-    pair (q, s) and idempotents e, f of S."""
+    pair (q, s) and idempotents e, f of S.
+
+    x = eqfre ends in e, so x^ω q f = x^ω (eqf): a block depends on its
+    position (q, s, e, f) only through the class (e, X = eqf, Y = esf),
+    with lhs (Xre)^ω (Yte)^{ω+1} and rhs (Xre)^ω X t (Yte)^ω. The sweep
+    walks the positions in the documented order, chunk by chunk, and
+    evaluates each class once, at its first position; every class seen
+    before that position held, so the first violating position is the
+    first occurrence of a violating class and carries the same witness as
+    a block-by-block sweep."""
     n = m.element_count
     table = np.ascontiguousarray(m.table, dtype=np.int32)
     omega = _omega_all(m)
-    idem = list(m.idempotents_s)
-    every = np.arange(n, dtype=np.int64)
-    for q in range(n):
-        ss = np.nonzero(rel.matrix[q])[0]
-        if len(ss) == 0:
+    idem = np.asarray(m.idempotents_s, dtype=np.int64)
+    k = len(idem)
+    # (q, q) cannot violate: eqfre ends and eqfte starts with the idempotent
+    # e, which the ω-powers absorb, so both sides equal (eqfre)^ω q f t (eqfte)^ω.
+    qs, ss = np.nonzero(rel.matrix)
+    off = qs != ss
+    qs, ss = qs[off], ss[off]
+    held = np.zeros(k * n * n, dtype=bool)        # classes known to hold
+    owner = np.empty(k * n * n, dtype=np.int32)   # scratch: class -> first chunk position
+    total = len(qs) * k * k
+    entries = _FIRST_CHUNK
+    start = 0
+    while start < total:
+        pos = np.arange(start, min(total, start + max(1, entries // (n * n))))
+        start += len(pos)
+        entries = min(2 * entries, _CHUNK_CAP)
+        pair, ef = np.divmod(pos, k * k)
+        i, j = np.divmod(ef, k)
+        e, f = idem[i], idem[j]
+        big_x = table[table[e, qs[pair]], f]
+        big_y = table[table[e, ss[pair]], f]
+        cls = (i * n + big_x) * n + big_y          # class id of each position
+        new = np.nonzero(~held[cls])[0]
+        if len(new) == 0:
             continue
-        for s in (int(x) for x in ss):
-            if s == q:
-                # (q, q) cannot violate: X ends and Y starts with the
-                # idempotent e, which the ω-powers absorb, so both sides
-                # equal (eqfre)^ω q f t (eqfte)^ω.
-                continue
-            for e in idem:
-                for f in idem:
-                    eq_f = int(table[table[e, q], f])
-                    es_f = int(table[table[e, s], f])
-                    x_r = table[table[eq_f, every], e]     # e q f r e
-                    y_t = table[table[es_f, every], e]     # e s f t e
-                    x_om = omega[x_r]
-                    y_om = omega[y_t]
-                    y_om1 = table[y_om, y_t]
-                    lhs = table[x_om][:, y_om1]
-                    head = table[table[x_om, q], f]        # (eqfre)^ω q f
-                    rhs = table[table[head], np.broadcast_to(y_om, (n, n))]
-                    neq = lhs != rhs
-                    if neq.any():
-                        flat = int(np.argmax(neq))
-                        r, t = flat // n, flat % n
-                        u, v = _pair_words(m, rel, q, s)
-                        return Verdict(False, EQ_WGONE, ViolationWitness(
-                            elements={"q": q, "r": r, "s": s, "t": t, "e": e, "f": f},
-                            words={"q": u, "r": m.witness[r], "s": v,
-                                   "t": m.witness[t], "e": m.witness[e], "f": m.witness[f]},
-                            lhs=int(lhs[r, t]),
-                            rhs=int(rhs[r, t]),
-                        ))
+        cls_new = cls[new]
+        owner[cls_new] = len(pos)
+        np.minimum.at(owner, cls_new, new)
+        first = new[owner[cls_new] == new]         # each new class's first position
+        e_c = e[first][:, None]
+        x_c = big_x[first]
+        x = table[table[x_c], e_c]                 # [c, r] -> X r e
+        y = table[table[big_y[first]], e_c]        # [c, t] -> Y t e
+        x_om, y_om = omega[x], omega[y]
+        lhs = table[x_om[:, :, None], table[y_om, y][:, None, :]]
+        head = table[x_om, x_c[:, None]]           # (Xre)^ω X
+        rhs = table[table[head], y_om[:, None, :]]
+        neq = lhs != rhs
+        bad = neq.reshape(len(first), -1).any(axis=1)
+        if not bad.any():
+            held[cls[first]] = True
+            continue
+        # classes met before held, so the first failing class's first
+        # position is the first violation
+        b = int(np.argmax(bad))
+        p = int(first[b])
+        q, s = int(qs[pair[p]]), int(ss[pair[p]])
+        e_p, f_p = int(e[p]), int(f[p])
+        r, t = divmod(int(np.argmax(neq[b])), n)
+        u, v = _pair_words(m, rel, q, s)
+        return Verdict(False, EQ_WGONE, ViolationWitness(
+            elements={"q": q, "r": r, "s": s, "t": t, "e": e_p, "f": f_p},
+            words={"q": u, "r": m.witness[r], "s": v,
+                   "t": m.witness[t], "e": m.witness[e_p], "f": m.witness[f_p]},
+            lhs=int(lhs[b, r, t]),
+            rhs=int(rhs[b, r, t]),
+        ))
     return Verdict(True, EQ_WGONE)
 
 

@@ -62,11 +62,25 @@ def test_gr_outside_bpol_is_rejected_with_the_stated_message(capsys):
 
 
 def test_uncertified_relation_exits_conditional(capsys):
+    # a budget this small degrades the modulus: the relation gains pairs
+    # and the verdict flips to a non-member, which is only conditional
+    code = main(["decide", "--alphabet", "a", "--basis", "amt",
+                 "(aa)*", "--budget", "3"])
+    out = capsys.readouterr().out
+    assert code == 3
+    assert "NOT a member" in out
+    assert "CONDITIONAL" in out
+
+
+def test_uncertified_member_verdict_is_final(capsys):
+    # an uncertified relation is a superset of the exact one, so a member
+    # verdict over it holds over the exact relation too
     code = main(["decide", "--alphabet", "a", "--basis", "amt",
                  "(aa)*", "--budget", "5"])
     out = capsys.readouterr().out
-    assert code == 3
-    assert "CONDITIONAL" in out
+    assert code == 0
+    assert "MEMBER of" in out
+    assert "CONDITIONAL" not in out
 
 
 def test_decide_agrees_with_library_on_random_inputs(tmp_path, capsys):

@@ -75,6 +75,13 @@ def test_up_arrow_respects_the_state_budget():
         up_arrow(minimize(full), "ab" * 40, state_budget=16)
 
 
+def test_up_arrow_budget_error_names_stage_and_size():
+    even_a = minimize(compile_dfa("(b|ab*a)*", "ab"))
+    with pytest.raises(BudgetError, match=r"budget \(16\) at stage up_arrow determinization: "
+                       r"DFA with 2 states, word of length 80, 16 states found, 15 expanded$"):
+        up_arrow(even_a, "ab" * 40, state_budget=16)
+
+
 # --- kernel --------------------------------------------------------------------
 
 

@@ -6,7 +6,9 @@ share no code with the vectorized checkers.
 """
 
 import random
+import time
 
+import numpy as np
 import pytest
 
 from hierarchy_one.errors import UsageError
@@ -20,6 +22,7 @@ from hierarchy_one.membership import (
     EQ_WGONE,
     Report,
     Verdict,
+    ViolationWitness,
     check_bpol_group,
     check_bpol_group_plus,
     check_pol,
@@ -232,6 +235,78 @@ def test_pol_group_plus_first_violation_matches_the_pair_loop(morphism_corpus):
                 assert verify_witness(m, verdict, order=order)
                 refuted += 1
     assert refuted > 100
+
+
+def loop_wgone(m, rel):
+    """WGONE swept one |M|×|M| (r, t) block per (q, s, e, f): pairs (q, s)
+    row-major with s = q skipped, then e, f in E(S) order. Returns the
+    first violation's Verdict."""
+    n = m.element_count
+    table = np.ascontiguousarray(m.table, dtype=np.int32)
+    omega = np.array([m.omega(x) for x in range(n)], dtype=np.int32)
+    every = np.arange(n)
+    for q in range(n):
+        for s in range(n):
+            if s == q or not rel.matrix[q, s]:
+                continue
+            for e in m.idempotents_s:
+                for f in m.idempotents_s:
+                    x_r = table[table[table[table[e, q], f], every], e]   # e q f r e
+                    y_t = table[table[table[table[e, s], f], every], e]   # e s f t e
+                    x_om, y_om = omega[x_r], omega[y_t]
+                    lhs = table[x_om][:, table[y_om, y_t]]
+                    head = table[table[x_om, q], f]                      # (eqfre)^ω q f
+                    rhs = table[table[head], np.broadcast_to(y_om, (n, n))]
+                    bad = np.argwhere(lhs != rhs)
+                    if len(bad):
+                        r, t = (int(v) for v in bad[0])
+                        wit = rel.witness_for(q, s)
+                        u, v = wit if wit is not None else (m.witness[q], m.witness[s])
+                        return Verdict(False, EQ_WGONE, ViolationWitness(
+                            elements={"q": q, "r": r, "s": s, "t": t, "e": e, "f": f},
+                            words={"q": u, "r": m.witness[r], "s": v, "t": m.witness[t],
+                                   "e": m.witness[e], "f": m.witness[f]},
+                            lhs=int(lhs[r, t]),
+                            rhs=int(rhs[r, t]),
+                        ))
+    return Verdict(True, EQ_WGONE)
+
+
+def test_wgone_first_violation_matches_the_block_loop(morphism_corpus):
+    rng = random.Random(4211)
+    refuted = 0
+    for _, m in morphism_corpus:
+        n = m.element_count
+        relations = [st_pairs(m), mod_pairs(m)]
+        for density in (0.05, 0.3, 0.8):
+            relations.append(explicit_pairs(
+                m, [(q, s) for q in range(n) for s in range(n) if rng.random() < density]))
+        for rel in relations:
+            expected = loop_wgone(m, rel)
+            verdict = check_bpol_group_plus(m, rel)
+            assert verdict == expected
+            if not verdict.member:
+                assert verify_witness(m, verdict)
+                refuted += 1
+    assert refuted > 100
+
+
+@pytest.mark.parametrize("k", [4, 5])
+def test_nth_letter_from_end_is_dot_depth_one_in_seconds(k):
+    # |M| = 2^(k+1) - 1: 31 and 63 elements, millions of (q, s, e, f) blocks
+    m = transition_monoid(minimize(compile_dfa("(a|b)*a" + "(a|b)" * (k - 1), "ab")))
+    assert m.element_count == 2 ** (k + 1) - 1
+    rel = st_pairs(m)
+    t0 = time.perf_counter()
+    verdict = check_bpol_group_plus(m, rel)
+    elapsed = time.perf_counter() - t0
+    assert verdict.member
+    assert elapsed < 5.0
+    if k == 4:
+        assert check_specialized(m, EQ_KNAST).member
+    else:
+        # Pol(ST+) ⊆ BPol(ST+)
+        assert check_pol_group_plus(m, syntactic_preorder(m), rel).member
 
 
 # --- witness verification -------------------------------------------------------
