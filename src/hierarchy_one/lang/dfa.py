@@ -251,65 +251,72 @@ def _reachable(d: Dfa) -> list[int]:
 def minimize(d: Dfa) -> Dfa:
     """Minimal complete DFA with canonical BFS state numbering. Idempotent."""
     reach = _reachable(d)
-    remap = {q: i for i, q in enumerate(reach)}
+    remap = [-1] * d.states
+    for i, q in enumerate(reach):
+        remap[q] = i
     n = len(reach)
     n_letters = len(d.alphabet)
-    delta = [[remap[d.delta[q][a]] for a in range(n_letters)] for q in reach]
-    finals = {remap[q] for q in d.finals if q in remap}
+    delta = [[remap[t] for t in d.delta[q]] for q in reach]
+    finals = {remap[q] for q in d.finals if remap[q] >= 0}
 
-    # Hopcroft partition refinement.
+    # Hopcroft partition refinement. Blocks are sets indexed by number; a
+    # splitter's preimage is grouped by block, and only the blocks it
+    # touches without covering are split. The new half of a split block
+    # waits if the old one does, else the smaller half waits: O(k·n log n).
     preimage = [[[] for _ in range(n)] for _ in range(n_letters)]
     for q in range(n):
-        for a in range(n_letters):
-            preimage[a][delta[q][a]].append(q)
+        for a, t in enumerate(delta[q]):
+            preimage[a][t].append(q)
 
-    f_block = frozenset(finals)
-    nf_block = frozenset(range(n)) - f_block
-    partition = {b for b in (f_block, nf_block) if b}
-    worklist = set(partition)
-    while worklist:
-        splitter = worklist.pop()
-        for a in range(n_letters):
-            x = {q for t in splitter for q in preimage[a][t]}
-            if not x:
-                continue
-            for block in list(partition):
-                inside = block & x
-                outside = block - x
-                if inside and outside:
-                    partition.remove(block)
-                    partition.update((frozenset(inside), frozenset(outside)))
-                    if block in worklist:
-                        worklist.remove(block)
-                        worklist.update((frozenset(inside), frozenset(outside)))
-                    else:
-                        worklist.add(min((frozenset(inside), frozenset(outside)), key=len))
-
-    block_of = {}
-    for block in partition:
+    blocks = [b for b in (set(finals), set(range(n)) - finals) if b]
+    block_of = [0] * n
+    for i, block in enumerate(blocks):
         for q in block:
-            block_of[q] = block
+            block_of[q] = i
+    waiting = {min(range(len(blocks)), key=lambda i: len(blocks[i]))}
+    while waiting:
+        s = waiting.pop()
+        splitter = list(blocks[s])  # block s may split while it is used
+        for pre in preimage:
+            touched: dict[int, list[int]] = {}
+            for t in splitter:
+                for q in pre[t]:
+                    b = block_of[q]
+                    if b in touched:
+                        touched[b].append(q)
+                    else:
+                        touched[b] = [q]
+            for b, inside in touched.items():
+                block = blocks[b]
+                if len(inside) == len(block):
+                    continue
+                new = len(blocks)
+                block.difference_update(inside)
+                blocks.append(set(inside))
+                for q in inside:
+                    block_of[q] = new
+                waiting.add(new if b in waiting or len(inside) <= len(block) else b)
 
     # Canonical numbering: BFS over blocks from the initial block.
+    rep = [min(block) for block in blocks]
+    numbering = [-1] * len(blocks)
     start_block = block_of[remap[d.initial]]
-    numbering = {start_block: 0}
+    numbering[start_block] = 0
     order = [start_block]
     queue = deque([start_block])
     while queue:
-        block = queue.popleft()
-        rep = min(block)
-        for a in range(n_letters):
-            nxt = block_of[delta[rep][a]]
-            if nxt not in numbering:
+        b = queue.popleft()
+        for t in delta[rep[b]]:
+            nxt = block_of[t]
+            if numbering[nxt] < 0:
                 numbering[nxt] = len(order)
                 order.append(nxt)
                 queue.append(nxt)
 
     out_delta = tuple(
-        tuple(numbering[block_of[delta[min(block)][a]]] for a in range(n_letters))
-        for block in order
+        tuple(numbering[block_of[t]] for t in delta[rep[b]]) for b in order
     )
-    out_finals = frozenset(numbering[b] for b in order if min(b) in finals)
+    out_finals = frozenset(numbering[b] for b in order if rep[b] in finals)
     return Dfa(
         alphabet=d.alphabet,
         states=len(order),
@@ -394,9 +401,39 @@ def is_empty(d: Dfa) -> Optional[str]:
     return None
 
 def includes(outer: Dfa, inner: Dfa) -> tuple[bool, Optional[str]]:
-    """Does L(outer) ⊇ L(inner)? On failure, the shortest counterexample."""
-    gap = is_empty(combine(inner, outer, "difference"))
-    return (gap is None, gap)
+    """Does L(outer) ⊇ L(inner)? On failure, the shortest counterexample
+    (alphabet-order tie-break).
+
+    A breadth-first search over pairs (inner state, outer state), letters in
+    alphabet order, that stops at the first pair final in inner only: the
+    same word `is_empty(combine(inner, outer, "difference"))` returns,
+    without building the product."""
+    if inner.alphabet != outer.alphabet:
+        raise AlphabetError(
+            f"alphabet mismatch: {inner.alphabet!r} vs {outer.alphabet!r}"
+        )
+    in_delta, out_delta = inner.delta, outer.delta
+    in_finals, out_finals = inner.finals, outer.finals
+    start = (inner.initial, outer.initial)
+    if start[0] in in_finals and start[1] not in out_finals:
+        return (False, "")
+    parent: dict[tuple[int, int], tuple[tuple[int, int], int]] = {start: (start, -1)}
+    queue = deque([start])
+    while queue:
+        pair = queue.popleft()
+        for a, (qi, qo) in enumerate(zip(in_delta[pair[0]], out_delta[pair[1]])):
+            nxt = (qi, qo)
+            if nxt in parent:
+                continue
+            parent[nxt] = (pair, a)
+            if qi in in_finals and qo not in out_finals:
+                letters = []
+                while nxt != start:
+                    nxt, la = parent[nxt]
+                    letters.append(inner.alphabet[la])
+                return (False, "".join(reversed(letters)))
+            queue.append(nxt)
+    return (True, None)
 
 def equivalent(x: Dfa, y: Dfa) -> bool:
     """Language equality, via canonical minimization."""

@@ -305,13 +305,12 @@ def _group_reach(
 
 
 def _buckets(visited: np.ndarray, n_m: int) -> Iterator[np.ndarray]:
+    """The visited nodes γ·|M|+s, one array per group value γ."""
     nodes = np.nonzero(visited)[0]
     if len(nodes) == 0:
         return
-    gamma = nodes // n_m
-    cuts = np.nonzero(np.diff(gamma))[0] + 1
-    for chunk in np.split(nodes, cuts):
-        yield chunk % n_m
+    cuts = np.nonzero(np.diff(nodes // n_m))[0] + 1
+    yield from np.split(nodes, cuts)
 
 
 def _group_pair_matrix(m: SyntacticMorphism, g: GroupPresentation) -> np.ndarray:
@@ -319,7 +318,8 @@ def _group_pair_matrix(m: SyntacticMorphism, g: GroupPresentation) -> np.ndarray
     visited, _ = _group_reach(m, g, witness_cap=0)
     n = m.element_count
     matrix = np.zeros((n, n), dtype=bool)
-    for bucket in _buckets(visited, n):
+    for chunk in _buckets(visited, n):
+        bucket = chunk % n
         matrix[np.ix_(bucket, bucket)] = True
     return matrix
 
@@ -340,10 +340,7 @@ def group_morphism_pairs(
     n = m.element_count
     matrix = np.zeros((n, n), dtype=bool)
     sparse: dict[tuple[int, int], Optional[tuple[str, str]]] = {}
-    nodes = np.nonzero(visited)[0]
-    gamma_all = nodes // n
-    cuts = np.nonzero(np.diff(gamma_all))[0] + 1
-    for chunk in np.split(nodes, cuts) if len(nodes) else []:
+    for chunk in _buckets(visited, n):
         bucket = chunk % n
         matrix[np.ix_(bucket, bucket)] = True
         chunk_list = chunk.tolist()

@@ -147,6 +147,17 @@ def test_random_covers_are_certified_and_antichain():
                     assert not up_arrow(ker, u).accepts(v)
 
 
+def test_largest_cover_is_certified_with_119_bases():
+    # `(a|b)*aba(a|b)*` with length-mod-4 gaps: 119 rounds of union,
+    # minimization and inclusion over products of up to ~1100 states.
+    res = pgcov_cover(compile_dfa("(a|b)*aba(a|b)*", "ab"),
+                      compile_dfa("((a|b)(a|b)(a|b)(a|b))*", "ab"))
+    assert res.certified
+    bases = res.base_words()
+    assert len(bases) == 119
+    assert (bases[0], bases[-1]) == ("aba", "bbbababbb")
+
+
 def test_cover_budget_returns_partial_uncertified():
     res = pgcov_cover(compile_dfa("a*", "a"), compile_dfa("(aa)*", "a"),
                       max_bases=1)

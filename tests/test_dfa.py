@@ -1,6 +1,7 @@
 """Automaton pipeline tests: compile, minimize, combine, serialize."""
 
 import random
+from collections import deque
 
 import pytest
 
@@ -23,6 +24,106 @@ from tests.test_patterns import brute_match, random_ast
 
 def lang_of(d, max_len=6):
     return {w for w in words_up_to(d.alphabet, max_len) if d.accepts(w)}
+
+
+def random_redundant_dfa(rng, max_states=300, letters="ab"):
+    """A uniform complete DFA padded with duplicate states (copies of a row
+    that take over some of its incoming edges) and with states that no
+    earlier state enters, unreachable unless the random initial state is
+    among them; so minimization must both prune and merge."""
+    n = rng.randint(1, max_states)
+    delta = [[rng.randrange(n) for _ in letters] for _ in range(n)]
+    finals = {q for q in range(n) if rng.random() < 0.5}
+    for _ in range(rng.randint(0, n)):
+        q = rng.randrange(len(delta))
+        copy = len(delta)
+        delta.append(list(delta[q]))
+        if q in finals:
+            finals.add(copy)
+        for row in delta:
+            for a, t in enumerate(row):
+                if t == q and rng.random() < 0.5:
+                    row[a] = copy
+    for _ in range(rng.randint(0, 5)):
+        delta.append([rng.randrange(len(delta) + 1) for _ in letters])
+    return Dfa(alphabet=tuple(letters), states=len(delta), initial=rng.randrange(len(delta)),
+               finals=frozenset(finals), delta=tuple(map(tuple, delta)))
+
+
+def reachable_states(d):
+    """States reachable from the initial one, in BFS order."""
+    reach = [d.initial]
+    seen = {d.initial}
+    queue = deque([d.initial])
+    while queue:
+        for t in d.delta[queue.popleft()]:
+            if t not in seen:
+                seen.add(t)
+                reach.append(t)
+                queue.append(t)
+    return reach
+
+
+def frozenset_minimize(d):
+    """Minimization by refining a set of frozensets, intersecting each
+    splitter's preimage with every block (Θ(n²) per splitter). Returns the
+    same canonical BFS numbering as `minimize`."""
+    reach = reachable_states(d)
+    remap = {q: i for i, q in enumerate(reach)}
+    n = len(reach)
+    n_letters = len(d.alphabet)
+    delta = [[remap[d.delta[q][a]] for a in range(n_letters)] for q in reach]
+    finals = {remap[q] for q in d.finals if q in remap}
+    preimage = [[[] for _ in range(n)] for _ in range(n_letters)]
+    for q in range(n):
+        for a in range(n_letters):
+            preimage[a][delta[q][a]].append(q)
+
+    f_block = frozenset(finals)
+    nf_block = frozenset(range(n)) - f_block
+    partition = {b for b in (f_block, nf_block) if b}
+    worklist = set(partition)
+    while worklist:
+        splitter = worklist.pop()
+        for a in range(n_letters):
+            x = {q for t in splitter for q in preimage[a][t]}
+            if not x:
+                continue
+            for block in list(partition):
+                inside = block & x
+                outside = block - x
+                if inside and outside:
+                    partition.remove(block)
+                    partition.update((frozenset(inside), frozenset(outside)))
+                    if block in worklist:
+                        worklist.remove(block)
+                        worklist.update((frozenset(inside), frozenset(outside)))
+                    else:
+                        worklist.add(min((frozenset(inside), frozenset(outside)), key=len))
+
+    block_of = {q: block for block in partition for q in block}
+    start_block = block_of[remap[d.initial]]
+    numbering = {start_block: 0}
+    order = [start_block]
+    queue = deque([start_block])
+    while queue:
+        rep = min(queue.popleft())
+        for a in range(n_letters):
+            nxt = block_of[delta[rep][a]]
+            if nxt not in numbering:
+                numbering[nxt] = len(order)
+                order.append(nxt)
+                queue.append(nxt)
+    return Dfa(
+        alphabet=d.alphabet,
+        states=len(order),
+        initial=0,
+        finals=frozenset(numbering[b] for b in order if min(b) in finals),
+        delta=tuple(
+            tuple(numbering[block_of[delta[min(b)][a]]] for a in range(n_letters))
+            for b in order
+        ),
+    )
 
 
 # --- golden automata ---------------------------------------------------------
@@ -61,6 +162,34 @@ def test_minimize_is_idempotent_and_language_preserving():
         m = minimize(d)
         assert m == minimize(m)
         assert lang_of(d, 5) == lang_of(m, 5)
+    for _ in range(40):
+        d = random_redundant_dfa(rng, max_states=8)
+        m = minimize(d)
+        assert m == minimize(m)
+        assert lang_of(d, 5) == lang_of(m, 5)
+
+
+def test_minimize_matches_the_frozenset_refinement():
+    rng = random.Random(2718)
+    split = merged = 0
+    for i in range(300):
+        letters = "abc"[: 1 + i % 3]
+        d = random_redundant_dfa(rng, max_states=rng.choice((5, 30, 300)), letters=letters)
+        m = minimize(d)
+        assert m == frozenset_minimize(d)
+        split += m.states > 2
+        merged += m.states < len(reachable_states(d))
+    assert split > 150 and merged > 150
+    for _ in range(60):
+        x = random_minimal_dfa(rng, max_states=30)
+        y = random_minimal_dfa(rng, max_states=30)
+        union = combine(x, y, "union")
+        assert minimize(union) == frozenset_minimize(union)
+    for k in range(1, 10):
+        ladder = compile_dfa("(a|b)*a" + "(a|b)" * (k - 1), "ab")
+        m = minimize(ladder)
+        assert m == frozenset_minimize(ladder)
+        assert m.states == 2**k
 
 
 def test_minimize_collapses_indistinguishable_states():
@@ -116,6 +245,23 @@ def test_includes_reports_shortest_counterexample():
     ok, cex = includes(outer, inner)
     assert not ok and cex == ""  # the empty word has no a
     assert includes(compile_dfa("(a|b)*", "ab"), inner) == (True, None)
+
+
+def test_includes_matches_the_difference_product():
+    rng = random.Random(1618)
+    outcomes = {True: 0, False: 0}
+    for i in range(2400):
+        letters = "abc"[: 1 + i % 3]
+        inner = random_minimal_dfa(rng, max_states=8, letters=letters)
+        outer = random_minimal_dfa(rng, max_states=8, letters=letters)
+        if i % 2:
+            outer = combine(outer, inner, "union")
+        gap = is_empty(combine(inner, outer, "difference"))
+        assert includes(outer, inner) == (gap is None, gap)
+        outcomes[gap is None] += 1
+    assert min(outcomes.values()) > 500
+    with pytest.raises(AlphabetError, match="alphabet mismatch"):
+        includes(compile_dfa("a", "ab"), compile_dfa("a", "a"))
 
 
 # --- permutation automata ----------------------------------------------------
