@@ -38,7 +38,7 @@ from .lang.dfa import (
     minimize,
 )
 from .lang.patterns import normalize_alphabet
-from .membership import Report, class_name, decide
+from .membership import BASES, Report, class_name, decide, pair_relation
 from .monoid import (
     is_group,
     monoid_to_dict,
@@ -46,23 +46,15 @@ from .monoid import (
     syntactic_preorder,
     transition_monoid,
 )
-from .pairs import (
-    GroupPresentation,
-    amt_pairs,
-    group_from_dict,
-    group_morphism_pairs,
-    mod_pairs,
-    pairs_to_dict,
-    st_pairs,
-)
+from .pairs import GroupPresentation, group_from_dict, pairs_to_dict
+# Unused here: perfbench/spans.py traces these four names in this module too.
+from .pairs import amt_pairs, group_morphism_pairs, mod_pairs, st_pairs  # noqa: F401
 
 EXIT_MEMBER = 0
 EXIT_OK = 0
 EXIT_NONMEMBER = 1
 EXIT_ERROR = 2
 EXIT_CONDITIONAL = 3
-
-_GR_MESSAGE = "unsupported: GR-pairs not computable in this tool"
 
 
 # ---------------------------------------------------------------------------
@@ -93,7 +85,7 @@ def _load_language(text: str, alphabet: Optional[str], base_dir: str = ".",
 def _resolve_basis(text: str, base_dir: str = ".") -> Union[str, GroupPresentation]:
     text = text.strip()
     low = text.lower()
-    if low in ("st", "mod", "amt", "gr"):
+    if low in BASES:
         return low
     if low.startswith("group:"):
         path = text[len("group:"):]
@@ -164,8 +156,6 @@ def _print_report(report: Report, show_witness: bool) -> None:
 
 def cmd_decide(args: argparse.Namespace) -> int:
     basis = _resolve_basis(args.basis)
-    if basis == "gr" and (args.level == "pol" or args.plus):
-        raise UsageError(_GR_MESSAGE)
     source = _load_language(args.input, args.alphabet,
                             state_budget=args.budget)
     report = decide(
@@ -220,24 +210,12 @@ def cmd_analyze(args: argparse.Namespace) -> int:
 # pairs
 
 
-def _compute_pairs(m, basis, node_budget=None):
-    if basis == "st":
-        return st_pairs(m)
-    if basis == "mod":
-        return mod_pairs(m)
-    if basis == "amt":
-        return amt_pairs(m, node_budget=node_budget)
-    if basis == "gr":
-        raise UsageError(_GR_MESSAGE)
-    return group_morphism_pairs(m, basis)
-
-
 def cmd_pairs(args: argparse.Namespace) -> int:
     basis = _resolve_basis(args.basis)
     dfa = minimize(_load_language(args.input, args.alphabet,
                                   state_budget=args.budget))
     m = transition_monoid(dfa, element_budget=args.budget)
-    rel = _compute_pairs(m, basis, node_budget=args.budget)
+    rel = pair_relation(m, basis, node_budget=args.budget)
     n = rel.element_count
     print(f"{args.input}: {rel.count} {_basis_display(basis)}-pairs over "
           f"{n}x{n} elements"
@@ -340,8 +318,6 @@ def _batch_case(payload: dict) -> dict:
                                base_dir=payload.get("_dir", "."))
         level = payload.get("level", "bpol")
         plus = bool(payload.get("plus", False))
-        if basis == "gr" and (level == "pol" or plus):
-            raise UsageError(_GR_MESSAGE)
         text = payload["input"]
         source = _load_language(text, payload.get("alphabet"),
                                 base_dir=payload.get("_dir", "."),

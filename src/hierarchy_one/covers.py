@@ -10,14 +10,14 @@ blocks linked by idempotents that absorb the neighbouring block images.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from typing import Optional
 
-from .errors import DEFAULT_STATE_BUDGET, BudgetError, UsageError, budget_from_env
+from .errors import DEFAULT_STATE_BUDGET, UsageError, budget_from_env
 from .lang.dfa import (
     Dfa,
     combine,
+    explore,
     includes,
     is_permutation_automaton,
     minimize,
@@ -48,38 +48,21 @@ def up_arrow(l_dfa: Dfa, word: str, state_budget: Optional[int] = None) -> Dfa:
                 out.add((copy + 1) * n_states + l_dfa.initial)
         return frozenset(out)
 
-    last = copies - 1
-    initial = frozenset({l_dfa.initial})
-    index = {initial: 0}
-    order = [initial]
-    rows = []
-    queue = deque([initial])
-    while queue:
-        subset = queue.popleft()
-        row = []
-        for a in range(n_letters):
-            nxt = moves(subset, a)
-            if nxt not in index:
-                if len(order) >= budget:
-                    raise BudgetError(
-                        f"determinization exceeded the state budget ({budget}) at stage "
-                        f"up_arrow determinization: DFA with {n_states} states, word of "
-                        f"length {len(word)}, {len(order)} states found, {len(rows)} expanded")
-                index[nxt] = len(order)
-                order.append(nxt)
-                queue.append(nxt)
-            row.append(index[nxt])
-        rows.append(row)
+    order, rows = explore(
+        frozenset({l_dfa.initial}),
+        lambda subset: [moves(subset, a) for a in range(n_letters)],
+        budget,
+        stage=f"up_arrow determinization: DFA with {n_states} states, word of length {len(word)}")
     finals = frozenset(
         i for i, subset in enumerate(order)
-        if any(g // n_states == last and g % n_states in l_dfa.finals for g in subset)
+        if any(g // n_states == copies - 1 and g % n_states in l_dfa.finals for g in subset)
     )
     raw = Dfa(
         alphabet=l_dfa.alphabet,
         states=len(order),
         initial=0,
         finals=finals,
-        delta=tuple(tuple(r) for r in rows),
+        delta=rows,
     )
     return minimize(raw)
 
@@ -150,10 +133,10 @@ def pgcov_cover(
         entries.append((gap, arrow))
         covered = minimize(combine(covered, arrow, "union"))
 
+    # The loop stops certified only once `includes(covered, h_min)` held;
+    # what is left to check is that each base word lies in H and its ↑.
     if certified:
-        certified = includes(covered, h_min)[0] and all(
-            h_min.accepts(w) and arrow.accepts(w) for w, arrow in entries
-        )
+        certified = all(h_min.accepts(w) and arrow.accepts(w) for w, arrow in entries)
     return CoverResult(entries=tuple(entries), certified=certified)
 
 
@@ -176,11 +159,13 @@ class GuardedDecomposition:
         if word is not None and self.word() != word:
             return False
         idem = set(m.idempotents_s)
+        images = map(m.evaluate, self.blocks)  # each block once, in order
+        right = None
         for i, e in enumerate(self.links):
             if e not in idem:
                 return False
-            left = m.evaluate(self.blocks[i])
-            right = m.evaluate(self.blocks[i + 1])
+            left = next(images) if i == 0 else right
+            right = next(images)
             if m.mul(left, e) != left or m.mul(e, right) != right:
                 return False
         return True

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Optional, Union as TyUnion
+from typing import Callable, Hashable, Iterable, Mapping, Optional, Union as TyUnion
 
 from ..errors import AlphabetError, BudgetError, DEFAULT_STATE_BUDGET, budget_from_env
 from .patterns import (
@@ -119,6 +119,42 @@ def dfa_from_dict(data: Mapping) -> Dfa:
     return Dfa(alphabet=alphabet, states=states, initial=initial, finals=finals, delta=delta)
 
 
+# --- breadth-first construction --------------------------------------------
+
+def explore(
+    initial: Hashable,
+    successors: Callable[[Hashable], Iterable[Hashable]],
+    budget: Optional[int] = None,
+    stage: str = "",
+    unit: str = "state",
+) -> tuple[list, list[list[int]]]:
+    """Number the nodes reachable from `initial` breadth-first.
+
+    `successors(node)` lists one successor per letter, in alphabet order.
+    Returns `(order, rows)`: `order[i]` is the node numbered i (discovery
+    order, so `initial` is 0) and `rows[i][a]` the number of its successor
+    on letter a, so `rows` is the transition table of the numbered nodes.
+    Numbering a node past `budget` raises BudgetError naming `stage` and
+    the sizes reached."""
+    index = {initial: 0}
+    order = [initial]
+    rows: list[list[int]] = []
+    for node in order:  # the queue is `order` itself, read as it grows
+        row = []
+        for nxt in successors(node):
+            got = index.get(nxt)
+            if got is None:
+                if budget is not None and len(order) >= budget:
+                    raise BudgetError(
+                        f"construction exceeded the {unit} budget ({budget}) at stage {stage}, "
+                        f"{len(order)} {unit}s found, {len(rows)} expanded")
+                got = index[nxt] = len(order)
+                order.append(nxt)
+            row.append(got)
+        rows.append(row)
+    return order, rows
+
+
 # --- compilation -----------------------------------------------------------
 
 class _Nfa:
@@ -198,66 +234,33 @@ def compile_dfa(
     start, out = nfa.fragment(pattern, letter_index)
     accept = {out}
 
-    initial = nfa.closure([start])
-    index: dict[frozenset[int], int] = {initial: 0}
-    order = [initial]
-    delta_rows: list[list[int]] = []
-    queue = deque([initial])
-    while queue:
-        current = queue.popleft()
+    def successors(subset: frozenset[int]) -> list[frozenset[int]]:
         row = []
         for i in range(len(alpha)):
-            move = {t for q in current for (a, t) in nfa.edges[q] if a == i}
-            nxt = nfa.closure(move) if move else frozenset()
-            if nxt not in index:
-                if len(index) >= budget:
-                    raise BudgetError(
-                        f"subset construction exceeded the state budget ({budget}) at stage "
-                        f"subset construction: NFA with {len(nfa.eps)} nodes, "
-                        f"{len(order)} states found, {len(delta_rows)} expanded"
-                    )
-                index[nxt] = len(order)
-                order.append(nxt)
-                queue.append(nxt)
-            row.append(index[nxt])
-        delta_rows.append(row)
+            move = {t for q in subset for (a, t) in nfa.edges[q] if a == i}
+            row.append(nfa.closure(move) if move else frozenset())
+        return row
 
+    order, rows = explore(nfa.closure([start]), successors, budget,
+                          stage=f"subset construction: NFA with {len(nfa.eps)} nodes")
     finals = frozenset(i for i, subset in enumerate(order) if subset & accept)
     return Dfa(
         alphabet=alpha,
         states=len(order),
         initial=0,
         finals=finals,
-        delta=tuple(tuple(r) for r in delta_rows),
+        delta=rows,
     )
 
 
 # --- minimization ----------------------------------------------------------
 
-def _reachable(d: Dfa) -> list[int]:
-    seen = [False] * d.states
-    seen[d.initial] = True
-    order = [d.initial]
-    queue = deque([d.initial])
-    while queue:
-        q = queue.popleft()
-        for t in d.delta[q]:
-            if not seen[t]:
-                seen[t] = True
-                order.append(t)
-                queue.append(t)
-    return order
-
 def minimize(d: Dfa) -> Dfa:
     """Minimal complete DFA with canonical BFS state numbering. Idempotent."""
-    reach = _reachable(d)
-    remap = [-1] * d.states
-    for i, q in enumerate(reach):
-        remap[q] = i
+    reach, delta = explore(d.initial, lambda q: d.delta[q])
     n = len(reach)
     n_letters = len(d.alphabet)
-    delta = [[remap[t] for t in d.delta[q]] for q in reach]
-    finals = {remap[q] for q in d.finals if remap[q] >= 0}
+    finals = {i for i, q in enumerate(reach) if q in d.finals}
 
     # Hopcroft partition refinement. Blocks are sets indexed by number; a
     # splitter's preimage is grouped by block, and only the blocks it
@@ -299,29 +302,13 @@ def minimize(d: Dfa) -> Dfa:
 
     # Canonical numbering: BFS over blocks from the initial block.
     rep = [min(block) for block in blocks]
-    numbering = [-1] * len(blocks)
-    start_block = block_of[remap[d.initial]]
-    numbering[start_block] = 0
-    order = [start_block]
-    queue = deque([start_block])
-    while queue:
-        b = queue.popleft()
-        for t in delta[rep[b]]:
-            nxt = block_of[t]
-            if numbering[nxt] < 0:
-                numbering[nxt] = len(order)
-                order.append(nxt)
-                queue.append(nxt)
-
-    out_delta = tuple(
-        tuple(numbering[block_of[t]] for t in delta[rep[b]]) for b in order
-    )
-    out_finals = frozenset(numbering[b] for b in order if rep[b] in finals)
+    order, out_delta = explore(
+        block_of[0], lambda b: [block_of[t] for t in delta[rep[b]]])
     return Dfa(
         alphabet=d.alphabet,
         states=len(order),
         initial=0,
-        finals=out_finals,
+        finals=frozenset(i for i, b in enumerate(order) if rep[b] in finals),
         delta=out_delta,
     )
 
@@ -343,23 +330,9 @@ def combine(x: Dfa, y: Dfa, op: str) -> Dfa:
             f"alphabet mismatch: {x.alphabet!r} vs {y.alphabet!r}"
         )
     keep = _OPS[op]
-    n_letters = len(x.alphabet)
-    start = (x.initial, y.initial)
-    index = {start: 0}
-    order = [start]
-    rows = []
-    queue = deque([start])
-    while queue:
-        qx, qy = queue.popleft()
-        row = []
-        for a in range(n_letters):
-            nxt = (x.delta[qx][a], y.delta[qy][a])
-            if nxt not in index:
-                index[nxt] = len(order)
-                order.append(nxt)
-                queue.append(nxt)
-            row.append(index[nxt])
-        rows.append(row)
+    order, rows = explore(
+        (x.initial, y.initial),
+        lambda pair: zip(x.delta[pair[0]], y.delta[pair[1]]))
     finals = frozenset(
         i for i, (qx, qy) in enumerate(order) if keep(qx in x.finals, qy in y.finals)
     )
@@ -368,7 +341,7 @@ def combine(x: Dfa, y: Dfa, op: str) -> Dfa:
         states=len(order),
         initial=0,
         finals=finals,
-        delta=tuple(tuple(r) for r in rows),
+        delta=rows,
     )
 
 

@@ -442,7 +442,7 @@ def verify_witness(m: SyntacticMorphism, verdict: Verdict,
 # --- the decision pipeline --------------------------------------------------
 
 _LEVELS = ("pol", "bpol")
-_BASES = ("st", "mod", "amt", "gr")
+BASES = ("st", "mod", "amt", "gr")
 
 _CLASS_NAMES = {
     ("st", "bpol", False): "piecewise testable (BPol(ST))",
@@ -519,6 +519,25 @@ class Report:
         )
 
 
+GR_UNSUPPORTED = ("unsupported: GR-pairs not computable in this tool; the GR base "
+                  "is only decidable here as BPol(GR): use level=bpol without plus")
+
+
+def pair_relation(m: SyntacticMorphism, basis: TyUnion[str, GroupPresentation],
+                  node_budget: Optional[int] = None) -> PairRelation:
+    """The pair relation of `basis` ("st" | "mod" | "amt" or a
+    GroupPresentation) on `m`. GR pairs are not computable: "gr" raises."""
+    if basis == "st":
+        return st_pairs(m)
+    if basis == "mod":
+        return mod_pairs(m)
+    if basis == "amt":
+        return amt_pairs(m, node_budget=node_budget)
+    if basis == "gr":
+        raise UsageError(GR_UNSUPPORTED)
+    return group_morphism_pairs(m, basis)
+
+
 def decide(
     source: TyUnion[Pattern, Dfa, str],
     alphabet: Optional[TyUnion[str, tuple[str, ...]]] = None,
@@ -535,19 +554,18 @@ def decide(
 
     `source` is a pattern (text or AST; requires `alphabet`) or a complete
     DFA. `basis` is "st" | "mod" | "amt" | "gr" or a GroupPresentation.
-    GR only supports level="bpol" without plus.
+    GR only supports level="bpol" without plus: every other class needs
+    GR pairs, which `pair_relation` cannot compute.
     """
     t0 = time.perf_counter()
     level = level.lower()
     if level not in _LEVELS:
         raise UsageError(f"level must be pol or bpol, got {level!r}")
     basis_key = basis.lower() if isinstance(basis, str) else None
-    if basis_key is not None and basis_key not in _BASES:
-        raise UsageError(f"basis must be one of {_BASES} or a GroupPresentation")
-    if basis_key == "gr":
-        if level != "bpol" or plus:
-            raise UsageError("the GR base is only decidable here as BPol(GR): "
-                             "use level=bpol without plus")
+    if basis_key is not None and basis_key not in BASES:
+        raise UsageError(f"basis must be one of {BASES} or a GroupPresentation")
+    if basis_key == "gr" and (level != "bpol" or plus):
+        raise UsageError(GR_UNSUPPORTED)  # before any work: these need GR pairs
 
     if isinstance(source, Dfa):
         dfa = minimize(source)
@@ -568,14 +586,7 @@ def decide(
         verdict = _check_grbpol(m)
         basis_tag = "GR"
     else:
-        if basis_key == "st":
-            rel = st_pairs(m)
-        elif basis_key == "mod":
-            rel = mod_pairs(m)
-        elif basis_key == "amt":
-            rel = amt_pairs(m, node_budget=node_budget)
-        else:
-            rel = group_morphism_pairs(m, basis)
+        rel = pair_relation(m, basis_key or basis, node_budget=node_budget)
         certified = rel.certified
         pair_count = rel.count
         basis_tag = rel.basis

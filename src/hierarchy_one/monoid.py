@@ -12,8 +12,8 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import BudgetError, DEFAULT_ELEMENT_BUDGET, budget_from_env
-from .lang.dfa import Dfa
+from .errors import DEFAULT_ELEMENT_BUDGET, budget_from_env
+from .lang.dfa import Dfa, explore
 
 
 @dataclass(frozen=True, eq=False)
@@ -76,34 +76,19 @@ def transition_monoid(d: Dfa, element_budget: Optional[int] = None) -> Syntactic
     letters = d.alphabet
     letter_vec = [tuple(d.delta[q][a] for q in range(n)) for a in range(len(letters))]
 
-    ident = tuple(range(n))
-    index: dict[tuple[int, ...], int] = {ident: 0}
-    vectors = [ident]
-    witnesses = [""]
-    parent = [0]
-    last_letter = [0]
-    right: list[list[int]] = []
-    head = 0
-    while head < len(vectors):
-        vec = vectors[head]
-        edges = []
-        for a, lv in enumerate(letter_vec):
-            composed = tuple(lv[q] for q in vec)
-            got = index.get(composed)
-            if got is None:
-                if len(vectors) >= budget:
-                    raise BudgetError(
-                        f"transition monoid exceeded the element budget ({budget}) at stage monoid BFS: "
-                        f"DFA with {n} states, {len(vectors)} elements found, {head} expanded"
-                    )
-                got = index[composed] = len(vectors)
-                vectors.append(composed)
-                witnesses.append(witnesses[head] + letters[a])
-                parent.append(head)
-                last_letter.append(a)
-            edges.append(got)
-        right.append(edges)
-        head += 1
+    vectors, right = explore(
+        tuple(range(n)),
+        lambda vec: [tuple(lv[q] for q in vec) for lv in letter_vec],
+        budget, stage=f"monoid BFS: DFA with {n} states", unit="element")
+    # The first edge of the Cayley graph reaching an element discovered it.
+    witnesses = [""] * len(vectors)
+    parent = [0] * len(vectors)
+    last_letter = [0] * len(vectors)
+    for x, edges in enumerate(right):
+        for a, y in enumerate(edges):
+            if y > x and not witnesses[y]:
+                witnesses[y] = witnesses[x] + letters[a]
+                parent[y], last_letter[y] = x, a
 
     count = len(vectors)
     right_table = np.array(right, dtype=np.int32)
