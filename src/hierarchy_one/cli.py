@@ -93,8 +93,7 @@ def _resolve_basis(text: str, base_dir: str = ".") -> Union[str, GroupPresentati
             path = os.path.join(base_dir, path)
         with open(path, "r", encoding="utf-8") as fh:
             data = json.load(fh)
-        name = data.get("name") or os.path.splitext(os.path.basename(path))[0]
-        return group_from_dict(data, name=name)
+        return group_from_dict(data, name=os.path.splitext(os.path.basename(path))[0])
     raise UsageError(
         f"unknown basis {text!r}: use st, mod, amt, gr, or group:<file.json>")
 

@@ -100,6 +100,8 @@ def dfa_from_dict(data: Mapping) -> Dfa:
         raw_delta = data["delta"]
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed DFA document: {exc}") from exc
+    if not isinstance(raw_delta, Mapping):
+        raise ValueError("malformed DFA document: delta must map each letter to a column")
     if set(raw_delta) != set(alphabet):
         missing = set(alphabet) - set(raw_delta)
         extra = set(raw_delta) - set(alphabet)
@@ -109,10 +111,12 @@ def dfa_from_dict(data: Mapping) -> Dfa:
         )
     columns = {}
     for sym in alphabet:
-        col = raw_delta[sym]
-        if len(col) != states:
+        try:
+            columns[sym] = [int(t) for t in raw_delta[sym]]
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f"malformed DFA document: delta[{sym!r}]: {exc}") from exc
+        if len(columns[sym]) != states:
             raise ValueError(f"delta[{sym!r}] must list all {states} states")
-        columns[sym] = [int(t) for t in col]
     delta = tuple(
         tuple(columns[sym][q] for sym in alphabet) for q in range(states)
     )

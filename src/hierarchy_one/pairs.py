@@ -8,15 +8,17 @@ morphism. Each relation is reflexive and symmetric, never transitive in
 general, and carries witness word pairs where the search found them.
 
 The pair set is stored as a dense boolean matrix (desk-scale monoids reach a
-few thousand elements, where tuple sets would thrash); witnesses are served
-through a per-basis strategy rather than one dict per pair.
+few thousand elements, where tuple sets would thrash). Witnesses are read
+on demand through one hook that each constructor sets: element words for ST
+and explicit pairs, words of congruent lengths for MOD, and for group bases
+the words recorded at the lowest group value that reaches both elements.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Mapping, Optional
+from dataclasses import dataclass, field, replace
+from typing import Callable, Iterable, Iterator, Mapping, Optional
 
 import numpy as np
 
@@ -31,20 +33,18 @@ BASIS_EXPLICIT = "EXPLICIT"
 
 @dataclass(frozen=True, eq=False)
 class PairRelation:
-    """Pairs as a boolean matrix plus a witness source.
+    """Pairs as a boolean matrix plus a witness hook.
 
     `witness_for(s, t)` returns a word pair (u, v) with u evaluating to s and
     v to t, or None when the pair is present but the search passed its depth
-    cap before naming it.
+    cap before naming it. The words come from `_witness(s, t)`, which the
+    constructor of each basis sets and which is only asked about pairs.
     """
 
     basis: str
     matrix: np.ndarray
+    _witness: Callable[[int, int], Optional[tuple[str, str]]] = field(repr=False)
     certified: bool = True
-    _sparse: dict = field(default_factory=dict, repr=False)
-    _element_words: Optional[tuple[str, ...]] = field(default=None, repr=False)
-    _length_pick: Optional[np.ndarray] = field(default=None, repr=False)
-    _length_words: Optional[tuple[dict[int, str], ...]] = field(default=None, repr=False)
 
     @property
     def element_count(self) -> int:
@@ -69,21 +69,13 @@ class PairRelation:
     def witness_for(self, s: int, t: int) -> Optional[tuple[str, str]]:
         if not self.matrix[s, t]:
             raise KeyError(f"({s}, {t}) is not in the relation")
-        if (s, t) in self._sparse:
-            return self._sparse[(s, t)]
-        if self._length_pick is not None:
-            i = int(self._length_pick[s, t, 0])
-            j = int(self._length_pick[s, t, 1])
-            return (self._length_words[i][s], self._length_words[j][t])
-        if self._element_words is not None:
-            return (self._element_words[s], self._element_words[t])
-        return None
+        return self._witness(s, t)
 
 
 def pairs_to_dict(rel: PairRelation) -> dict:
     rows = []
     for s, t in rel.pairs_iter():
-        wit = rel.witness_for(s, t)
+        wit = rel._witness(s, t)
         u, v = wit if wit is not None else (None, None)
         rows.append([s, t, u, v])
     return {"basis": rel.basis, "certified": rel.certified, "pairs": rows}
@@ -92,10 +84,11 @@ def pairs_to_dict(rel: PairRelation) -> dict:
 def st_pairs(m: SyntacticMorphism) -> PairRelation:
     """Every pair: the trivial base separates nothing."""
     n = m.element_count
+    words = m.witness
     return PairRelation(
         basis=BASIS_ST,
         matrix=np.ones((n, n), dtype=bool),
-        _element_words=m.witness,
+        _witness=lambda s, t: (words[s], words[t]),
     )
 
 
@@ -109,11 +102,12 @@ def explicit_pairs(
     matrix = np.zeros((n, n), dtype=bool)
     for s, t in pairs:
         matrix[s, t] = True
+    given = dict(witnesses) if witnesses else {}
+    words = m.witness
     return PairRelation(
         basis=BASIS_EXPLICIT,
         matrix=matrix,
-        _sparse=dict(witnesses) if witnesses else {},
-        _element_words=m.witness,
+        _witness=lambda s, t: given.get((s, t), (words[s], words[t])),
     )
 
 
@@ -179,13 +173,16 @@ def group_from_dict(data: Mapping, name: str = "custom") -> GroupPresentation:
     alphabet = tuple(sorted(raw_image))
     image = {}
     for sym in alphabet:
-        g = int(raw_image[sym])
+        try:
+            g = int(raw_image[sym])
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f"malformed group document: letter_image[{sym!r}]: {exc}") from exc
         if not 0 <= g < n:
             raise ValueError(f"letter_image[{sym!r}] out of range")
         image[sym] = g
     action = np.stack([table[:, image[sym]] for sym in alphabet]) if alphabet else np.zeros((0, n), np.int32)
     return GroupPresentation(
-        name=str(data.get("name", name)),
+        name=str(data.get("name") or name),
         alphabet=alphabet,
         element_count=n,
         identity=identity,
@@ -304,24 +301,37 @@ def _group_reach(
     return visited, words
 
 
-def _buckets(visited: np.ndarray, n_m: int) -> Iterator[np.ndarray]:
-    """The visited nodes γ·|M|+s, one array per group value γ."""
-    nodes = np.nonzero(visited)[0]
-    if len(nodes) == 0:
-        return
-    cuts = np.nonzero(np.diff(nodes // n_m))[0] + 1
-    yield from np.split(nodes, cuts)
+def _group_join(visited: np.ndarray, n_m: int) -> np.ndarray:
+    """Pair matrix of a reach mask over nodes γ·|M|+s: (s, t) is a pair iff
+    some group value γ reaches both. With V the rows [γ, s] of the mask that
+    reach some element, that is (V.T @ V) > 0."""
+    reach = visited.reshape(-1, n_m)
+    v = reach[reach.any(axis=1)].astype(np.float32)
+    return (v.T @ v) > 0
 
 
-def _group_pair_matrix(m: SyntacticMorphism, g: GroupPresentation) -> np.ndarray:
-    """Pair matrix only (no witnesses); used for certification sweeps."""
-    visited, _ = _group_reach(m, g, witness_cap=0)
-    n = m.element_count
-    matrix = np.zeros((n, n), dtype=bool)
-    for chunk in _buckets(visited, n):
-        bucket = chunk % n
-        matrix[np.ix_(bucket, bucket)] = True
-    return matrix
+def _group_witness(
+    visited: np.ndarray,
+    n_m: int,
+    words: dict[int, str],
+) -> Callable[[int, int], Optional[tuple[str, str]]]:
+    """Witness hook of a group join: the words recorded for (γ, s) and
+    (γ, t) at the lowest γ that reaches both, or None when either node lies
+    past the witness cap. The lowest γ is found for a whole row s at once,
+    the first time the row is asked about, and kept."""
+    reach = visited.reshape(-1, n_m)
+    lowest: dict[int, list[int]] = {}  # s -> γ·|M| of the lowest γ reaching s and t, per t
+
+    def witness(s: int, t: int) -> Optional[tuple[str, str]]:
+        if s not in lowest:
+            hit = np.flatnonzero(reach[:, s])
+            lowest[s] = (hit[reach[hit].argmax(axis=0)] * n_m).tolist()
+        node = lowest[s][t]
+        u = words.get(node + s)
+        v = words.get(node + t)
+        return (u, v) if u is not None and v is not None else None
+
+    return witness
 
 
 def group_morphism_pairs(
@@ -330,7 +340,7 @@ def group_morphism_pairs(
     basis: Optional[str] = None,
 ) -> PairRelation:
     """Pairs (s, t) reachable with a common group value: saturate (γ, s)
-    states from the identities, then join buckets sharing γ.
+    states from the identities, then join the reach mask with itself over γ.
 
     Witness recording is capped at depth n0 + 2p + |M| (stability threshold
     plus period data); deeper pairs stay in the relation without words."""
@@ -338,25 +348,10 @@ def group_morphism_pairs(
     cap = info.threshold + 2 * info.period + m.element_count
     visited, words = _group_reach(m, g, witness_cap=cap)
     n = m.element_count
-    matrix = np.zeros((n, n), dtype=bool)
-    sparse: dict[tuple[int, int], Optional[tuple[str, str]]] = {}
-    for chunk in _buckets(visited, n):
-        bucket = chunk % n
-        matrix[np.ix_(bucket, bucket)] = True
-        chunk_list = chunk.tolist()
-        bucket_list = bucket.tolist()
-        for i, s in enumerate(bucket_list):
-            for j, t in enumerate(bucket_list):
-                key = (s, t)
-                if key not in sparse:
-                    u = words.get(chunk_list[i])
-                    v = words.get(chunk_list[j])
-                    sparse[key] = (u, v) if u is not None and v is not None else None
-    sparse = {k: v for k, v in sparse.items() if v is not None}
     return PairRelation(
         basis=basis if basis is not None else f"CUSTOM:{g.name}",
-        matrix=matrix,
-        _sparse=sparse,
+        matrix=_group_join(visited, n),
+        _witness=_group_witness(visited, n, words),
     )
 
 
@@ -389,8 +384,7 @@ def mod_pairs(m: SyntacticMorphism) -> PairRelation:
     return PairRelation(
         basis=BASIS_MOD,
         matrix=matrix,
-        _length_pick=pick,
-        _length_words=tuple(layers),
+        _witness=lambda s, t: (layers[pick[s, t, 0]][s], layers[pick[s, t, 1]][t]),
     )
 
 
@@ -427,13 +421,8 @@ def amt_pairs(
             if ((q * r) ** n_letters) * n > budget:
                 certified = False
                 break
-            bigger = _group_pair_matrix(m, parikh_group(q * r, m.alphabet))
-            if not np.array_equal(bigger, base.matrix):
+            visited, _ = _group_reach(m, parikh_group(q * r, m.alphabet), witness_cap=0)
+            if not np.array_equal(_group_join(visited, n), base.matrix):
                 certified = False
                 break
-    return PairRelation(
-        basis=BASIS_AMT,
-        matrix=base.matrix,
-        certified=certified,
-        _sparse=base._sparse,
-    )
+    return replace(base, certified=certified)

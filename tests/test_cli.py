@@ -111,6 +111,25 @@ def test_file_input_with_clashing_alphabet_is_an_error(tmp_path, capsys):
     assert "does not match" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("delta", [[[1, 2, 2], [2, 2, 0]], {"a": 1, "b": [2, 2, 0]}],
+                         ids=["delta-list", "column-number"])
+def test_malformed_dfa_file_is_an_error(tmp_path, capsys, delta):
+    doc = dict(dfa_to_dict(compile_dfa("(ab)*", "ab")), delta=delta)
+    path = tmp_path / "d.json"
+    path.write_text(json.dumps(doc))
+    assert main(["decide", str(path)]) == 2
+    assert "error: malformed DFA document" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("doc", [[Z3_DOC], dict(Z3_DOC, letter_image={"a": [1]})],
+                         ids=["top-level-list", "list-letter-image"])
+def test_malformed_group_file_is_an_error(tmp_path, capsys, doc):
+    path = tmp_path / "g.json"
+    path.write_text(json.dumps(doc))
+    assert main(["decide", "(aa)*", "--alphabet", "a", "--basis", f"group:{path}"]) == 2
+    assert "error: malformed group document" in capsys.readouterr().err
+
+
 def test_bad_pattern_reports_position(capsys):
     assert main(["decide", "--alphabet", "ab", "((a"]) == 2
     assert "error" in capsys.readouterr().err

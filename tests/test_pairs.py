@@ -5,14 +5,18 @@ of explicit group-morphism relations — a slower but definitionally direct
 computation.
 """
 
+import json
 import random
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from hierarchy_one import pairs
 from hierarchy_one.lang import compile_dfa, minimize
-from hierarchy_one.monoid import stable_sequence, transition_monoid
+from hierarchy_one.monoid import stable_sequence, transition_monoid, words_by_length
 from hierarchy_one.pairs import (
+    _group_reach,
     amt_pairs,
     cyclic_length_group,
     explicit_pairs,
@@ -259,3 +263,105 @@ def test_explicit_pairs_round_trip():
     assert rel.pairs_set() == {(0, 0), (0, 1)}
     assert rel.witness_for(0, 1) == ("", "a")
     assert rel.witness_for(0, 0) == ("", "")  # element-word fallback
+
+
+# --- the join and the witness hook against the per-basis oracles -------------
+
+S3_DOC = json.loads(
+    (Path(__file__).resolve().parent.parent / "perfbench" / "data" / "s3.json").read_text())
+
+
+def bucket_group_pairs(visited, n, words):
+    """The bucket join the reach-mask product replaced, kept as the oracle:
+    one np.ix_ block per group value γ in increasing order, and a dict in
+    which the first bucket holding a pair fixes its witness words."""
+    matrix = np.zeros((n, n), dtype=bool)
+    witnesses = {}
+    nodes = np.nonzero(visited)[0]
+    cuts = np.nonzero(np.diff(nodes // n))[0] + 1
+    for chunk in np.split(nodes, cuts):
+        bucket = chunk % n
+        matrix[np.ix_(bucket, bucket)] = True
+        chunk_list, bucket_list = chunk.tolist(), bucket.tolist()
+        for i, s in enumerate(bucket_list):
+            for j, t in enumerate(bucket_list):
+                if (s, t) not in witnesses:
+                    u, v = words.get(chunk_list[i]), words.get(chunk_list[j])
+                    witnesses[(s, t)] = (u, v) if u is not None and v is not None else None
+    return matrix, witnesses
+
+
+def test_group_join_equals_the_bucket_oracle(morphism_corpus):
+    rng = random.Random(611)
+    one_letter = [transition_monoid(random_minimal_dfa(rng, letters="a")) for _ in range(30)]
+    for m in [m for _, m in morphism_corpus] + one_letter:
+        groups = [trivial_group(m.alphabet), group_from_dict(Z3_DOC), group_from_dict(S3_DOC),
+                  parikh_group(2, m.alphabet), cyclic_length_group(6, m.alphabet)]
+        info = stable_sequence(m)
+        cap = info.threshold + 2 * info.period + m.element_count
+        for g in groups:
+            if g.alphabet != m.alphabet:
+                continue
+            rel = group_morphism_pairs(m, g)
+            visited, words = _group_reach(m, g, witness_cap=cap)
+            matrix, witnesses = bucket_group_pairs(visited, m.element_count, words)
+            assert np.array_equal(rel.matrix, matrix)
+            for s, t in rel.pairs_iter():
+                assert rel.witness_for(s, t) == witnesses[(s, t)]
+
+
+def test_amt_certification_joins_equal_the_bucket_oracle(morphism_corpus, monkeypatch):
+    joins = []
+    join = pairs._group_join
+
+    def recording_join(visited, n):
+        matrix = join(visited, n)
+        joins.append((visited, n, matrix))
+        return matrix
+
+    monkeypatch.setattr(pairs, "_group_join", recording_join)
+    seen = set()
+    for _, m in morphism_corpus:
+        key = (m.table.tobytes(), tuple(sorted(m.letter_image.items())))
+        if m.element_count > 6 or key in seen:
+            continue
+        seen.add(key)
+        joins.clear()
+        amt_pairs(m)
+        assert len(joins) > 1 or m.element_count == 1
+        for visited, n, matrix in joins:
+            assert np.array_equal(matrix, bucket_group_pairs(visited, n, {})[0])
+
+
+def _listing(rel, witness):
+    return {"basis": rel.basis, "certified": rel.certified,
+            "pairs": [[s, t, *(witness(s, t) or (None, None))] for s, t in rel.pairs_iter()]}
+
+
+def test_st_mod_and_explicit_listings_keep_their_witnesses(morphism_corpus):
+    for _, m in morphism_corpus[:100]:
+        words = m.witness
+        rel = st_pairs(m)
+        assert pairs_to_dict(rel) == _listing(rel, lambda s, t: (words[s], words[t]))
+
+        info = stable_sequence(m)
+        n0, p = info.threshold, info.period
+        window = n0 + 2 * p
+        layers = words_by_length(m, window - 1)
+        lengths = [(i, j) for i in range(window) for j in range(window)
+                   if (i - j) % p == 0 and (i == j or max(i, j) >= n0)]
+
+        def first_lengths(s, t):
+            i, j = next((i, j) for i, j in lengths
+                        if s in info.at_length(i) and t in info.at_length(j))
+            return (layers[i][s], layers[j][t])
+
+        rel = mod_pairs(m)
+        assert pairs_to_dict(rel) == _listing(rel, first_lengths)
+
+        n = m.element_count
+        chosen = [(s, t) for s in range(n) for t in range(n) if (s * 7 + t) % 3 == 0]
+        given = {pair: ("u", "v") for pair in chosen[::2]}
+        rel = explicit_pairs(m, chosen, witnesses=given)
+        assert pairs_to_dict(rel) == _listing(
+            rel, lambda s, t: given.get((s, t), (words[s], words[t])))
