@@ -3,12 +3,16 @@
 Each checker sweeps its equation over the monoid and reports the first
 violation in lexicographic sweep order — (q, s) pairs outermost (sorted),
 then idempotents (e, f), then the inner (r, t) plane, which is evaluated as
-one vectorized block so early exits stay cheap. WGONE keeps that order but
-walks it in chunks that double in size: its blocks depend only on the
-class (e, eqf, esf), so each chunk evaluates just the classes it has not
-met before, all at once. A verdict's witness can be re-derived: its words
-evaluate to its elements, and the equation sides recompute from the
-elements alone.
+one vectorized block so early exits stay cheap. GONE reaches the same
+first violation by classes: its sides factor into a row class of (q, r)
+and a column class of (s, t), so it walks q in order, evaluates each row
+class of q not yet known to hold against every column class at once, and
+evaluates in full only the first violating (q, s) block, for its first
+(r, t). WGONE keeps the block order but walks it in chunks that double in
+size: its blocks depend only on the class (e, eqf, esf), so each chunk
+evaluates just the classes it has not met before, all at once. A verdict's
+witness can be re-derived: its words evaluate to its elements, and the
+equation sides recompute from the elements alone.
 
 Equation tags:
   POLC   x^{ω+1} ≤ x^ω y x^ω            (generic polynomial closure)
@@ -162,48 +166,82 @@ def check_pol_group_plus(m: SyntacticMorphism, order: OrderRelation, rel: PairRe
 
 
 def check_bpol_group(m: SyntacticMorphism, rel: PairRelation) -> Verdict:
-    """GONE: (qr)^ω (st)^{ω+1} = (qr)^ω q t (st)^ω for every pair (q, s)."""
+    """GONE: (qr)^ω (st)^{ω+1} = (qr)^ω q t (st)^ω for every pair (q, s).
+
+    Both sides factor through a row class (a, b) = ((qr)^ω, (qr)^ω q) and
+    a column class (c, d) = ((st)^{ω+1}, t (st)^ω): lhs = a·c, rhs = b·d.
+    The column classes of all (s, t) are named once. q is walked in sweep
+    order, and each of its row classes not yet known to hold is evaluated
+    against every column class; one that meets them all holds for good.
+    (q, s) violates exactly when a failing row class of q meets a column
+    class of s, so the first such s of the first such q is the first
+    violating block of the block-by-block sweep. Only that block is
+    evaluated in full, to read its first (r, t)."""
     n = m.element_count
     table = np.ascontiguousarray(m.table, dtype=np.int32)
+    flat = table.ravel()
     omega = _omega_all(m)
     prod_omega = omega[table]                      # [x, y] -> (xy)^ω
-    prod_omega_plus = table[prod_omega, table]     # [x, y] -> (xy)^{ω+1}
-    col = np.broadcast_to(np.arange(n, dtype=np.int32)[:, None], (n, n))
-    after_q = table[prod_omega, col]               # [q, r] -> (qr)^ω q
-    last_q = -1
-    lhs_rows = rhs_base = None
-    for q in range(n):
-        ss = np.nonzero(rel.matrix[q])[0]
-        if len(ss) == 0:
+    # column keys c·n + d, built in one flat-index buffer so that the
+    # temporaries stay within a few |M|² entries
+    col_key = prod_omega * np.intp(n)
+    col_key += table
+    c = flat.take(col_key)                         # [s, t] -> (st)^{ω+1}
+    np.add(prod_omega, np.arange(0, n * n, n), out=col_key)
+    d = flat.take(col_key)                         # [s, t] -> t (st)^ω
+    np.multiply(c, np.intp(n), out=col_key)
+    col_key += d
+    del c, d
+    marks = np.zeros(n * n, dtype=bool)            # a set of column keys
+    marks[col_key] = True
+    v_key = np.flatnonzero(marks)                  # V: the distinct column classes
+    v_c, v_d = np.divmod(v_key, n)
+    held = np.zeros(n * n, dtype=bool)             # row keys met by every column class
+    pairs = np.array(rel.matrix, dtype=bool)
+    # (q, q) cannot violate: (qt)^{ω+1} = q·t·(qt)^ω makes the sides
+    # literally equal.
+    np.fill_diagonal(pairs, False)
+    for q in (int(x) for x in np.flatnonzero(pairs.any(axis=1))):
+        after_q = table[prod_omega[q], q]          # [r] -> (qr)^ω q
+        keys = prod_omega[q] * np.intp(n) + after_q   # [r] -> a·n + b
+        keys = np.unique(keys[~held[keys]])
+        if len(keys) == 0:
             continue
-        if q != last_q:
-            lhs_rows = table[prod_omega[q]]        # [r, y] -> (qr)^ω y
-            rhs_base = table[after_q[q]]           # [r, y] -> (qr)^ω q y
-            last_q = q
-        for s in (int(x) for x in ss):
-            if s == q:
-                # (q, q) cannot violate: (qt)^{ω+1} = q·t·(qt)^ω makes the
-                # sides literally equal.
-                continue
-            lhs = lhs_rows[:, prod_omega_plus[s]]
-            rhs = table[rhs_base, np.broadcast_to(prod_omega[s], (n, n))]
-            neq = lhs != rhs
-            if neq.any():
-                flat = int(np.argmax(neq))
-                r, t = flat // n, flat % n
-                u, v = _pair_words(m, rel, q, s)
-                return Verdict(False, EQ_GONE, ViolationWitness(
-                    elements={"q": q, "r": r, "s": s, "t": t},
-                    words={"q": u, "r": m.witness[r], "s": v, "t": m.witness[t]},
-                    lhs=int(lhs[r, t]),
-                    rhs=int(rhs[r, t]),
-                ))
+        a, b = np.divmod(keys[:, None], n)
+        fails = np.zeros(len(v_c), dtype=bool)     # column classes a row class of q fails
+        held[keys] = True
+        step = max(1, n * n // len(keys))          # temporaries stay within |M|² entries
+        for lo in range(0, len(v_c), step):
+            neq = table[a, v_c[lo:lo + step]] != table[b, v_d[lo:lo + step]]
+            fails[lo:lo + step] = neq.any(axis=0)
+            held[keys[neq.any(axis=1)]] = False
+        if not fails.any():
+            continue
+        marks[:] = False
+        marks[v_key[fails]] = True
+        ss = np.flatnonzero(pairs[q])
+        hit = marks[col_key[ss]].any(axis=1)
+        if not hit.any():
+            continue
+        s = int(ss[np.argmax(hit)])
+        # the block-by-block sweep's (q, s) block, for its first (r, t)
+        lhs = table[prod_omega[q]][:, table[prod_omega[s], table[s]]]
+        rhs = table[table[after_q], np.broadcast_to(prod_omega[s], (n, n))]
+        r, t = divmod(int(np.argmax(lhs != rhs)), n)
+        u, v = _pair_words(m, rel, q, s)
+        return Verdict(False, EQ_GONE, ViolationWitness(
+            elements={"q": q, "r": r, "s": s, "t": t},
+            words={"q": u, "r": m.witness[r], "s": v, "t": m.witness[t]},
+            lhs=int(lhs[r, t]),
+            rhs=int(rhs[r, t]),
+        ))
     return Verdict(True, EQ_GONE)
 
 
 # WGONE chunk sizes, in (r, t) entries of the documented sweep: the first
 # chunk holds the whole sweep of a monoid with |M| ≤ 3, later ones double
 # up to the cap, which bounds a chunk's temporaries to a few tens of MB.
+# KNAST splits its blocks at the same cap.
 _FIRST_CHUNK = 1 << 8
 _CHUNK_CAP = 1 << 20
 
@@ -308,37 +346,43 @@ def _check_simon(m: SyntacticMorphism) -> Verdict:
 
 
 def _check_knast(m: SyntacticMorphism) -> Verdict:
+    """KNAST swept one (q, s) of S at a time, all (e, f) in one [(e, f), r, t]
+    block, split along (e, f) past _CHUNK_CAP entries: a block's first
+    entry in C order is the first violation of the q, s, e, f, r, t sweep."""
     table = np.ascontiguousarray(m.table, dtype=np.int32)
     omega = _omega_all(m)
     sub = np.fromiter(sorted(m.nonempty_image), dtype=np.int32,
                       count=len(m.nonempty_image))
-    idem = list(m.idempotents_s)
-    k = len(sub)
+    idem = np.asarray(m.idempotents_s, dtype=np.int32)
+    e_of = np.repeat(idem, len(idem))[:, None]    # [(e, f), 1] -> e
+    f_of = np.tile(idem, len(idem))[:, None]      # [(e, f), 1] -> f
+    step = max(1, _CHUNK_CAP // max(1, len(sub) ** 2))
+
+    def guarded_omega(x: int) -> np.ndarray:
+        exf = table[table[e_of, x], f_of]
+        return omega[table[table[exf, sub], e_of]]       # [(e, f), r] -> (exfre)^ω
+
     for q in (int(x) for x in sub):
+        x_om = guarded_omega(q)[:, :, None]
+        head = table[table[x_om, q], f_of[:, :, None]]  # (eqfre)^ω q f
         for s in (int(x) for x in sub):
-            for e in idem:
-                for f in idem:
-                    eq_f = int(table[table[e, q], f])
-                    es_f = int(table[table[e, s], f])
-                    x_r = table[table[eq_f, sub], e]      # e q f r e, r over S
-                    y_t = table[table[es_f, sub], e]
-                    x_om = omega[x_r]
-                    y_om = omega[y_t]
-                    lhs = table[x_om][:, y_om]
-                    head = table[table[x_om, q], f]
-                    mid = table[head][:, sub]             # (eqfre)^ω q f t
-                    rhs = table[mid, np.broadcast_to(y_om, (k, k))]
-                    bad = np.argwhere(lhs != rhs)
-                    if len(bad):
-                        ri, ti = (int(v) for v in bad[0])
-                        r, t = int(sub[ri]), int(sub[ti])
-                        return Verdict(False, EQ_KNAST, ViolationWitness(
-                            elements={"q": q, "r": r, "s": s, "t": t, "e": e, "f": f},
-                            words={k2: m.witness[v2] for k2, v2 in
-                                   (("q", q), ("r", r), ("s", s), ("t", t), ("e", e), ("f", f))},
-                            lhs=int(lhs[ri, ti]),
-                            rhs=int(rhs[ri, ti]),
-                        ))
+            y_om = guarded_omega(s)[:, None, :]
+            for lo in range(0, len(e_of), step):
+                y = y_om[lo:lo + step]
+                lhs = table[x_om[lo:lo + step], y]
+                rhs = table[table[head[lo:lo + step], sub], y]
+                neq = lhs != rhs
+                if neq.any():
+                    at = np.unravel_index(int(np.argmax(neq)), neq.shape)
+                    e, f = int(e_of[lo + at[0], 0]), int(f_of[lo + at[0], 0])
+                    r, t = int(sub[at[1]]), int(sub[at[2]])
+                    return Verdict(False, EQ_KNAST, ViolationWitness(
+                        elements={"q": q, "r": r, "s": s, "t": t, "e": e, "f": f},
+                        words={k: m.witness[v] for k, v in
+                               (("q", q), ("r", r), ("s", s), ("t", t), ("e", e), ("f", f))},
+                        lhs=int(lhs[at]),
+                        rhs=int(rhs[at]),
+                    ))
     return Verdict(True, EQ_KNAST)
 
 

@@ -365,21 +365,14 @@ def mod_pairs(m: SyntacticMorphism) -> PairRelation:
     n0, p = info.threshold, info.period
     window = n0 + 2 * p
     n = m.element_count
-    matrix = np.zeros((n, n), dtype=bool)
-    pick = np.full((n, n, 2), -1, dtype=np.int32)
     sets = [sorted(info.at_length(i)) for i in range(window)]
-    for i in range(window):
-        for j in range(window):
-            if (i - j) % p != 0:
-                continue
-            if i != j and max(i, j) < n0:
-                continue
-            block = np.ix_(sets[i], sets[j])
-            matrix[block] = True
-            sub = pick[block]
-            unset = sub[:, :, 0] < 0
-            sub[unset] = (i, j)
-            pick[block] = sub
+    congruent = [(i, j) for i in range(window) for j in range(window)
+                 if (i - j) % p == 0 and (i == j or max(i, j) >= n0)]
+    pick = np.full((n, n, 2), -1, dtype=np.int32)
+    # walked backwards, so the first congruent pair in window order writes last
+    for i, j in reversed(congruent):
+        pick[np.ix_(sets[i], sets[j])] = (i, j)
+    matrix = pick[..., 0] >= 0
     layers = words_by_length(m, window - 1)
     return PairRelation(
         basis=BASIS_MOD,

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from hierarchy_one.errors import UsageError
-from hierarchy_one.lang import compile_dfa, minimize
+from hierarchy_one.lang import combine, compile_dfa, minimize
 from hierarchy_one.membership import (
     EQ_GONE,
     EQ_GRBPOL,
@@ -138,6 +138,54 @@ def test_specialized_checkers_match_brute_force(dfa_corpus):
         assert check_specialized(m, EQ_KNAST).member == brute_knast_holds(table, s_elems, idems_s)
         assert check_specialized(m, EQ_GRBPOL).member == brute_grbpol_holds(table, idems_m)
     assert checked > 10
+
+
+def loop_knast(m):
+    """KNAST swept one |S|×|S| (r, t) block per (q, s, e, f), in that
+    nesting order over S and E(S). Returns the first violation's Verdict."""
+    table = np.ascontiguousarray(m.table, dtype=np.int32)
+    omega = np.array([m.omega(x) for x in range(m.element_count)], dtype=np.int32)
+    sub = np.fromiter(sorted(m.nonempty_image), dtype=np.int32,
+                      count=len(m.nonempty_image))
+    idem = list(m.idempotents_s)
+    k = len(sub)
+    for q in (int(x) for x in sub):
+        for s in (int(x) for x in sub):
+            for e in idem:
+                for f in idem:
+                    eq_f = int(table[table[e, q], f])
+                    es_f = int(table[table[e, s], f])
+                    x_r = table[table[eq_f, sub], e]      # e q f r e, r over S
+                    y_t = table[table[es_f, sub], e]
+                    x_om = omega[x_r]
+                    y_om = omega[y_t]
+                    lhs = table[x_om][:, y_om]
+                    head = table[table[x_om, q], f]
+                    mid = table[head][:, sub]             # (eqfre)^ω q f t
+                    rhs = table[mid, np.broadcast_to(y_om, (k, k))]
+                    bad = np.argwhere(lhs != rhs)
+                    if len(bad):
+                        ri, ti = (int(v) for v in bad[0])
+                        r, t = int(sub[ri]), int(sub[ti])
+                        return Verdict(False, EQ_KNAST, ViolationWitness(
+                            elements={"q": q, "r": r, "s": s, "t": t, "e": e, "f": f},
+                            words={k2: m.witness[v2] for k2, v2 in
+                                   (("q", q), ("r", r), ("s", s), ("t", t), ("e", e), ("f", f))},
+                            lhs=int(lhs[ri, ti]),
+                            rhs=int(rhs[ri, ti]),
+                        ))
+    return Verdict(True, EQ_KNAST)
+
+
+def test_knast_first_violation_matches_the_block_loop(morphism_corpus):
+    refuted = 0
+    for _, m in morphism_corpus:
+        verdict = check_specialized(m, EQ_KNAST)
+        assert verdict == loop_knast(m)
+        if not verdict.member:
+            assert verify_witness(m, verdict)
+            refuted += 1
+    assert refuted > 50
 
 
 # --- golden verdicts ----------------------------------------------------------
@@ -289,6 +337,115 @@ def test_wgone_first_violation_matches_the_block_loop(morphism_corpus):
                 assert verify_witness(m, verdict)
                 refuted += 1
     assert refuted > 100
+
+
+def loop_gone(m, rel):
+    """GONE swept one |M|×|M| (r, t) block per pair (q, s): q ascending,
+    then s ascending with s = q skipped. Returns the first violation's
+    Verdict."""
+    n = m.element_count
+    table = np.ascontiguousarray(m.table, dtype=np.int32)
+    omega = np.array([m.omega(x) for x in range(n)], dtype=np.int32)
+    prod_omega = omega[table]                      # [x, y] -> (xy)^ω
+    prod_omega_plus = table[prod_omega, table]     # [x, y] -> (xy)^{ω+1}
+    col = np.broadcast_to(np.arange(n, dtype=np.int32)[:, None], (n, n))
+    after_q = table[prod_omega, col]               # [q, r] -> (qr)^ω q
+    last_q = -1
+    lhs_rows = rhs_base = None
+    for q in range(n):
+        ss = np.nonzero(rel.matrix[q])[0]
+        if len(ss) == 0:
+            continue
+        if q != last_q:
+            lhs_rows = table[prod_omega[q]]        # [r, y] -> (qr)^ω y
+            rhs_base = table[after_q[q]]           # [r, y] -> (qr)^ω q y
+            last_q = q
+        for s in (int(x) for x in ss):
+            if s == q:
+                # (q, q) cannot violate: (qt)^{ω+1} = q·t·(qt)^ω makes the
+                # sides literally equal.
+                continue
+            lhs = lhs_rows[:, prod_omega_plus[s]]
+            rhs = table[rhs_base, np.broadcast_to(prod_omega[s], (n, n))]
+            neq = lhs != rhs
+            if neq.any():
+                flat = int(np.argmax(neq))
+                r, t = flat // n, flat % n
+                wit = rel.witness_for(q, s)
+                u, v = wit if wit is not None else (m.witness[q], m.witness[s])
+                return Verdict(False, EQ_GONE, ViolationWitness(
+                    elements={"q": q, "r": r, "s": s, "t": t},
+                    words={"q": u, "r": m.witness[r], "s": v, "t": m.witness[t]},
+                    lhs=int(lhs[r, t]),
+                    rhs=int(rhs[r, t]),
+                ))
+    return Verdict(True, EQ_GONE)
+
+
+def nth_letter_from_end(k):
+    """(a|b)*a(a|b)^(k-1): |M| = 2^(k+1) - 1."""
+    return transition_monoid(minimize(compile_dfa("(a|b)*a" + "(a|b)" * (k - 1), "ab")))
+
+
+def test_gone_first_violation_matches_the_block_loop(morphism_corpus):
+    rng = random.Random(5309)
+    cases = []
+    for _, m in morphism_corpus:
+        n = m.element_count
+        cases += [(m, st_pairs(m)), (m, mod_pairs(m))]
+        for density in (0.05, 0.3, 0.8):
+            cases.append((m, explicit_pairs(
+                m, [(q, s) for q in range(n) for s in range(n) if rng.random() < density])))
+    for k in range(2, 9):
+        m = nth_letter_from_end(k)
+        cases.append((m, st_pairs(m)))
+        if k <= 6:
+            cases.append((m, mod_pairs(m)))
+    refuted = 0
+    for m, rel in cases:
+        verdict = check_bpol_group(m, rel)
+        assert verdict == loop_gone(m, rel)
+        if not verdict.member:
+            assert verify_witness(m, verdict)
+            refuted += 1
+    assert refuted >= 300
+
+
+def subword_dfa(word, alphabet="abc"):
+    """A*w₁A*…A*w_kA*: the words that contain `word` as a subword."""
+    any_ = "(" + "|".join(alphabet) + ")*"
+    return compile_dfa(any_ + any_.join(word) + any_, alphabet)
+
+
+@pytest.mark.parametrize("case", ["pt_member", "mod_ladder_7"])
+def test_gone_decides_large_monoids_in_seconds(case):
+    if case == "pt_member":
+        # a piecewise-testable member with |M| = 143: every block is swept
+        m = transition_monoid(minimize(combine(
+            combine(subword_dfa("aba"), subword_dfa("bcca"), "union"),
+            combine(subword_dfa("abbb"), subword_dfa("cbab"), "intersection"),
+            "difference")))
+        assert m.element_count == 143
+        rel = st_pairs(m)
+    else:
+        # |M| = 255, whose first violation comes only at q = 127
+        m = nth_letter_from_end(7)
+        assert m.element_count == 255
+        rel = mod_pairs(m)
+    t0 = time.perf_counter()
+    verdict = check_bpol_group(m, rel)
+    elapsed = time.perf_counter() - t0
+    assert elapsed < 2.0
+    if case == "pt_member":
+        assert verdict.member
+        assert check_specialized(m, EQ_SIMON).member
+    else:
+        # pinned from loop_gone, which takes about 14 s here
+        assert verdict == Verdict(False, EQ_GONE, ViolationWitness(
+            elements={"q": 127, "r": 2, "s": 0, "t": 0},
+            words={"q": "aaaaaaa", "r": "b", "s": "", "t": ""},
+            lhs=128, rhs=127))
+        assert verify_witness(m, verdict)
 
 
 @pytest.mark.parametrize("k", [4, 5])
