@@ -98,10 +98,6 @@ def _resolve_basis(text: str, base_dir: str = ".") -> Union[str, GroupPresentati
         f"unknown basis {text!r}: use st, mod, amt, gr, or group:<file.json>")
 
 
-def _basis_display(basis: Union[str, GroupPresentation]) -> str:
-    return basis.upper() if isinstance(basis, str) else f"CUSTOM:{basis.name}"
-
-
 def _write_json(path: str, payload: dict) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
@@ -216,7 +212,7 @@ def cmd_pairs(args: argparse.Namespace) -> int:
     m = transition_monoid(dfa, element_budget=args.budget)
     rel = pair_relation(m, basis, node_budget=args.budget)
     n = rel.element_count
-    print(f"{args.input}: {rel.count} {_basis_display(basis)}-pairs over "
+    print(f"{args.input}: {rel.count} {rel.basis}-pairs over "
           f"{n}x{n} elements"
           + ("" if rel.certified else " (UNCERTIFIED: budget hit)"))
     shown = 0

@@ -3,14 +3,11 @@
 Each checker sweeps its equation over the monoid and reports the first
 violation in lexicographic sweep order — (q, s) pairs outermost (sorted),
 then idempotents (e, f), then the inner (r, t) plane, which is evaluated as
-one vectorized block so early exits stay cheap. GONE reaches the same
-first violation by classes: its sides factor into a row class of (q, r)
-and a column class of (s, t), so it walks q in order, evaluates each row
-class of q not yet known to hold against every column class at once, and
-evaluates in full only the first violating (q, s) block, for its first
-(r, t). WGONE keeps the block order but walks it in chunks that double in
-size: its blocks depend only on the class (e, eqf, esf), so each chunk
-evaluates just the classes it has not met before, all at once. A verdict's
+one vectorized block so early exits stay cheap. GONE is WGONE with
+e = f = 1, and both run one class sweep: their sides factor into a row
+class of (e, X = eqf, r) and a column class of (e, Y = esf, t); a row class
+that meets every column class of its e holds for good, so a long sweep
+looks only at blocks (e, X, Y) whose X has a failing row class. A verdict's
 witness can be re-derived: its words evaluate to its elements, and the
 equation sides recompute from the elements alone.
 
@@ -101,6 +98,16 @@ def _omega_all(m: SyntacticMorphism) -> np.ndarray:
                        count=m.element_count)
 
 
+def _distinct(x: np.ndarray) -> np.ndarray:
+    """np.unique(x) at under half the cost of a call, for tiny monoids."""
+    x = x.flatten()
+    x.sort()
+    keep = np.empty(len(x), dtype=bool)
+    keep[:1] = True
+    np.not_equal(x[1:], x[:-1], out=keep[1:])
+    return x[keep]
+
+
 def _pair_words(m: SyntacticMorphism, rel: PairRelation, s: int, t: int) -> tuple[str, str]:
     wit = rel.witness_for(s, t)
     if wit is None:
@@ -165,160 +172,161 @@ def check_pol_group_plus(m: SyntacticMorphism, order: OrderRelation, rel: PairRe
     return Verdict(True, EQ_POLGP)
 
 
-def check_bpol_group(m: SyntacticMorphism, rel: PairRelation) -> Verdict:
-    """GONE: (qr)^ω (st)^{ω+1} = (qr)^ω q t (st)^ω for every pair (q, s).
+# Entries a sweep temporary may hold, a few tens of MB: the class sweep's
+# units and KNAST's blocks are split at it.
+_ENTRY_CAP = 1 << 20
 
-    Both sides factor through a row class (a, b) = ((qr)^ω, (qr)^ω q) and
-    a column class (c, d) = ((st)^{ω+1}, t (st)^ω): lhs = a·c, rhs = b·d.
-    The column classes of all (s, t) are named once. q is walked in sweep
-    order, and each of its row classes not yet known to hold is evaluated
-    against every column class; one that meets them all holds for good.
-    (q, s) violates exactly when a failing row class of q meets a column
-    class of s, so the first such s of the first such q is the first
-    violating block of the block-by-block sweep. Only that block is
-    evaluated in full, to read its first (r, t)."""
+# Sweeps of at most this many entries are read off whole: filtering one by
+# row classes first would take some fifty numpy calls more than that.
+_WHOLE_SWEEP = 1 << 16
+
+
+def _block_sides(table: np.ndarray, omega: np.ndarray, e: np.ndarray, x: np.ndarray,
+                 y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """[block, r, t] -> lhs = a·c and rhs = b·d of the blocks (e, X, Y): the
+    row class of (e, X, r) is (a, b) = ((Xre)^ω, (Xre)^ω X) and the column
+    class of (e, Y, t) is (c, d) = ((Yte)^{ω+1}, t (Yte)^ω)."""
+    a = omega[table[table[x], e[:, None]]]
+    yte = table[table[y], e[:, None]]
+    y_om = omega[yte]
+    lhs = table[a[:, :, None], table[y_om, yte][:, None, :]]
+    rhs = table[table[a, x[:, None]][:, :, None],
+                table[np.arange(len(table)), y_om][:, None, :]]
+    return lhs, rhs
+
+
+def _class_sweep(m: SyntacticMorphism, rel: PairRelation, idem: tuple[int, ...],
+                 equation: str) -> Verdict:
+    """(Xre)^ω (Yte)^{ω+1} = (Xre)^ω X t (Yte)^ω with X = eqf and Y = esf,
+    for every pair (q, s) with q ≠ s, e, f in `idem` and r, t in M, swept
+    in the order q, s, e, f, r, t; the Verdict holds its first violation.
+
+    The sweep is walked in units, a group of q times a block of e with at
+    most _ENTRY_CAP entries, each distinct block (e, X, Y) of a unit once.
+    A sweep of more than _WHOLE_SWEEP entries is filtered first: a row class
+    of (e, X, r) meets every column class of its e (those of every Y = esf)
+    or fails, once and for all, and a position can fail only if its X has a
+    failing row class and its Y a column class that one fails against."""
     n = m.element_count
+    nn = n * n
     table = np.ascontiguousarray(m.table, dtype=np.int32)
-    flat = table.ravel()
+    flat = table.ravel()                     # x·y is flat[x·n + y]
     omega = _omega_all(m)
-    prod_omega = omega[table]                      # [x, y] -> (xy)^ω
-    # column keys c·n + d, built in one flat-index buffer so that the
-    # temporaries stay within a few |M|² entries
-    col_key = prod_omega * np.intp(n)
-    col_key += table
-    c = flat.take(col_key)                         # [s, t] -> (st)^{ω+1}
-    np.add(prod_omega, np.arange(0, n * n, n), out=col_key)
-    d = flat.take(col_key)                         # [s, t] -> t (st)^ω
-    np.multiply(c, np.intp(n), out=col_key)
-    col_key += d
-    del c, d
-    marks = np.zeros(n * n, dtype=bool)            # a set of column keys
-    marks[col_key] = True
-    v_key = np.flatnonzero(marks)                  # V: the distinct column classes
-    v_c, v_d = np.divmod(v_key, n)
-    held = np.zeros(n * n, dtype=bool)             # row keys met by every column class
+    idem = np.asarray(idem, dtype=np.int32)
+    k = len(idem)
     pairs = np.array(rel.matrix, dtype=bool)
-    # (q, q) cannot violate: (qt)^{ω+1} = q·t·(qt)^ω makes the sides
-    # literally equal.
+    # (q, q) cannot violate: eqfre ends and eqfte starts with the idempotent
+    # e, which the ω-powers absorb, so both sides equal (eqfre)^ω q f t (eqfte)^ω.
     np.fill_diagonal(pairs, False)
-    for q in (int(x) for x in np.flatnonzero(pairs.any(axis=1))):
-        after_q = table[prod_omega[q], q]          # [r] -> (qr)^ω q
-        keys = prod_omega[q] * np.intp(n) + after_q   # [r] -> a·n + b
-        keys = np.unique(keys[~held[keys]])
-        if len(keys) == 0:
-            continue
-        a, b = np.divmod(keys[:, None], n)
-        fails = np.zeros(len(v_c), dtype=bool)     # column classes a row class of q fails
-        held[keys] = True
-        step = max(1, n * n // len(keys))          # temporaries stay within |M|² entries
-        for lo in range(0, len(v_c), step):
-            neq = table[a, v_c[lo:lo + step]] != table[b, v_d[lo:lo + step]]
-            fails[lo:lo + step] = neq.any(axis=0)
-            held[keys[neq.any(axis=1)]] = False
-        if not fails.any():
-            continue
-        marks[:] = False
-        marks[v_key[fails]] = True
-        ss = np.flatnonzero(pairs[q])
-        hit = marks[col_key[ss]].any(axis=1)
-        if not hit.any():
-            continue
-        s = int(ss[np.argmax(hit)])
-        # the block-by-block sweep's (q, s) block, for its first (r, t)
-        lhs = table[prod_omega[q]][:, table[prod_omega[s], table[s]]]
-        rhs = table[table[after_q], np.broadcast_to(prod_omega[s], (n, n))]
-        r, t = divmod(int(np.argmax(lhs != rhs)), n)
-        u, v = _pair_words(m, rel, q, s)
-        return Verdict(False, EQ_GONE, ViolationWitness(
-            elements={"q": q, "r": r, "s": s, "t": t},
-            words={"q": u, "r": m.witness[r], "s": v, "t": m.witness[t]},
-            lhs=int(lhs[r, t]),
-            rhs=int(rhs[r, t]),
-        ))
-    return Verdict(True, EQ_GONE)
+    qs = pairs.any(axis=1).nonzero()[0]
+    filtered = int(pairs.sum()) * k * k * nn > _WHOLE_SWEEP
+
+    def first_failing(qi, s, i, j, x, ezf, b):
+        """The first position (q index, s, e index - b, f index), in sweep order,
+        whose block fails, as (q index, s, e index, f index, r, t, lhs, rhs)."""
+        step = max(1, _WHOLE_SWEEP // nn)
+        for lo in range(0, len(qi), step):
+            w = slice(lo, lo + step)
+            blk = (i[w], x[i[w], qi[w], j[w]], ezf[i[w], s[w], j[w]])   # (e, X, Y)
+            seen = np.zeros(ezf.shape[:1] + (n, n), dtype=bool)
+            seen[blk] = True
+            i_b, x_b, y_b = seen.nonzero()
+            at = np.empty(seen.shape, dtype=np.int32)
+            at[i_b, x_b, y_b] = np.arange(len(i_b))
+            at = at[blk]
+            lhs, rhs = _block_sides(table, omega, idem[b + i_b], x_b, y_b)
+            neq = (lhs != rhs).reshape(len(i_b), -1)
+            hit = neq.any(axis=1)[at]
+            if hit.any():
+                h = lo + int(hit.argmax())
+                u = at[h - lo]
+                r, t = divmod(int(neq[u].argmax()), n)
+                return (int(qi[h]), int(s[h]), b + int(i[h]), int(j[h]), r, t,
+                        int(lhs[u, r, t]), int(rhs[u, r, t]))
+        return None
+
+    e_block = min(k, max(1, _ENTRY_CAP // (k * n ** 3)))
+    group = max(1, _ENTRY_CAP // (e_block * k * n ** 3))
+    blocks = {}                              # first e of a block -> its arrays, see below
+    # the row classes, keyed e·n² + a·n + b, that meet every column class of their e
+    held = np.zeros(k * nn, dtype=bool)
+    for lo in range(0, len(qs), group):
+        gq = qs[lo:lo + group]
+        first = None                         # the group's first failing position
+        for b in range(0, k, e_block):
+            if b not in blocks:              # [i, z, f] -> ezf for the i-th e of the block
+                e = idem[b:b + e_block]
+                blocks[b] = [e, np.arange(len(e), dtype=np.int32)[:, None, None],
+                             table[table[e][:, :, None], idem], None]
+            e, local, ezf, classes = blocks[b]
+            x = ezf[:, gq]                   # [e, q, f] -> X; ezf[e, s, f] is Y
+            cand = pairs[gq][:, :, None, None]
+            if filtered:
+                if classes is None:
+                    # column classes of (e, Z) keyed i·n² + c·n + d, those of every
+                    # Y = esf as (e, c, d), [i, Y, t] -> their index; [i, X]: it holds
+                    zte = flat[table * n + e[:, None, None]]      # Z t e
+                    z_om = omega[zte]
+                    col = (flat[z_om * n + zte] + local * n) * n + flat[np.arange(n) * n + z_om]
+                    is_y = np.zeros((len(e), n), dtype=bool)
+                    is_y[local, ezf] = True
+                    marks = np.zeros(len(e) * nn, dtype=bool)
+                    marks[col[is_y]] = True
+                    del zte, z_om
+                    v = marks.nonzero()[0]
+                    cls = marks.cumsum(dtype=np.int32) - 1   # key of a class -> its index
+                    v_e, v_cd = np.divmod(v, nn)
+                    classes = blocks[b][3] = (cls[col], v_e + b, *np.divmod(v_cd, n),
+                                              np.zeros((len(e), n), dtype=bool))
+                cls, v_e, v_c, v_d, settled = classes
+                if settled[local, x].all():
+                    continue
+                # [e, q, f, r] -> the row class of (e, X, r)
+                a = omega[flat[table[x] * n + e[:, None, None, None]]]        # (Xre)^ω
+                rows = (a + (b + local[..., None]) * n) * np.intp(n) + flat[a * n + x[..., None]]
+                fresh = _distinct(rows[~held[rows]])
+                held[fresh] = True
+                f_e, f_ab = np.divmod(fresh[:, None], nn)
+                f_a, f_b = np.divmod(f_ab, n)
+                hot = np.zeros(len(v_e) + 1, dtype=bool)  # column classes a row class fails
+                step = max(1, _ENTRY_CAP // max(1, len(fresh)))
+                for c in range(0, len(v_e), step):
+                    w = slice(c, c + step)
+                    neq = (table[f_a, v_c[w]] != table[f_b, v_d[w]]) & (f_e == v_e[w])
+                    held[fresh[neq.any(axis=1)]] = False
+                    hot[c:c + neq.shape[1]] = neq.any(axis=0)
+                open_ = (~held[rows]).any(axis=3)               # [e, q, f]: X has a failing row class
+                settled[local, x] = ~open_
+                cand = (cand & open_.transpose(1, 0, 2)[:, None]
+                        & hot[cls].any(axis=2)[local, ezf].transpose(1, 0, 2)[None])
+            found = first_failing(*(cand | np.zeros((len(e), k), dtype=bool)).nonzero(), x, ezf, b)
+            # blocks of one group come in e order, so a tie keeps the earlier
+            if found is not None and (first is None or found[:2] < first[:2]):
+                first = found
+            if first is not None and first[:2] == (0, int(pairs[gq[0]].argmax())):
+                break                        # no later block comes first
+        if first is not None:
+            qi, s, i, j, r, t, lhs, rhs = first
+            q, e, f = int(gq[qi]), int(idem[i]), int(idem[j])
+            elements = dict(zip("qrst" + "ef" * (equation == EQ_WGONE), (q, r, s, t, e, f)))
+            words = {var: m.witness[x] for var, x in elements.items()}
+            words["q"], words["s"] = _pair_words(m, rel, q, s)
+            return Verdict(False, equation, ViolationWitness(
+                elements=elements, words=words, lhs=lhs, rhs=rhs))
+    return Verdict(True, equation)
 
 
-# WGONE chunk sizes, in (r, t) entries of the documented sweep: the first
-# chunk holds the whole sweep of a monoid with |M| ≤ 3, later ones double
-# up to the cap, which bounds a chunk's temporaries to a few tens of MB.
-# KNAST splits its blocks at the same cap.
-_FIRST_CHUNK = 1 << 8
-_CHUNK_CAP = 1 << 20
+def check_bpol_group(m: SyntacticMorphism, rel: PairRelation) -> Verdict:
+    """GONE: (qr)^ω (st)^{ω+1} = (qr)^ω q t (st)^ω for every pair (q, s):
+    the class sweep with e = f = 1."""
+    return _class_sweep(m, rel, (m.identity,), EQ_GONE)
 
 
 def check_bpol_group_plus(m: SyntacticMorphism, rel: PairRelation) -> Verdict:
     """WGONE: (eqfre)^ω (esfte)^{ω+1} = (eqfre)^ω q f t (esfte)^ω for every
-    pair (q, s) and idempotents e, f of S.
-
-    x = eqfre ends in e, so x^ω q f = x^ω (eqf): a block depends on its
-    position (q, s, e, f) only through the class (e, X = eqf, Y = esf),
-    with lhs (Xre)^ω (Yte)^{ω+1} and rhs (Xre)^ω X t (Yte)^ω. The sweep
-    walks the positions in the documented order, chunk by chunk, and
-    evaluates each class once, at its first position; every class seen
-    before that position held, so the first violating position is the
-    first occurrence of a violating class and carries the same witness as
-    a block-by-block sweep."""
-    n = m.element_count
-    table = np.ascontiguousarray(m.table, dtype=np.int32)
-    omega = _omega_all(m)
-    idem = np.asarray(m.idempotents_s, dtype=np.int64)
-    k = len(idem)
-    # (q, q) cannot violate: eqfre ends and eqfte starts with the idempotent
-    # e, which the ω-powers absorb, so both sides equal (eqfre)^ω q f t (eqfte)^ω.
-    qs, ss = np.nonzero(rel.matrix)
-    off = qs != ss
-    qs, ss = qs[off], ss[off]
-    held = np.zeros(k * n * n, dtype=bool)        # classes known to hold
-    owner = np.empty(k * n * n, dtype=np.int32)   # scratch: class -> first chunk position
-    total = len(qs) * k * k
-    entries = _FIRST_CHUNK
-    start = 0
-    while start < total:
-        pos = np.arange(start, min(total, start + max(1, entries // (n * n))))
-        start += len(pos)
-        entries = min(2 * entries, _CHUNK_CAP)
-        pair, ef = np.divmod(pos, k * k)
-        i, j = np.divmod(ef, k)
-        e, f = idem[i], idem[j]
-        big_x = table[table[e, qs[pair]], f]
-        big_y = table[table[e, ss[pair]], f]
-        cls = (i * n + big_x) * n + big_y          # class id of each position
-        new = np.nonzero(~held[cls])[0]
-        if len(new) == 0:
-            continue
-        cls_new = cls[new]
-        owner[cls_new] = len(pos)
-        np.minimum.at(owner, cls_new, new)
-        first = new[owner[cls_new] == new]         # each new class's first position
-        e_c = e[first][:, None]
-        x_c = big_x[first]
-        x = table[table[x_c], e_c]                 # [c, r] -> X r e
-        y = table[table[big_y[first]], e_c]        # [c, t] -> Y t e
-        x_om, y_om = omega[x], omega[y]
-        lhs = table[x_om[:, :, None], table[y_om, y][:, None, :]]
-        head = table[x_om, x_c[:, None]]           # (Xre)^ω X
-        rhs = table[table[head], y_om[:, None, :]]
-        neq = lhs != rhs
-        bad = neq.reshape(len(first), -1).any(axis=1)
-        if not bad.any():
-            held[cls[first]] = True
-            continue
-        # classes met before held, so the first failing class's first
-        # position is the first violation
-        b = int(np.argmax(bad))
-        p = int(first[b])
-        q, s = int(qs[pair[p]]), int(ss[pair[p]])
-        e_p, f_p = int(e[p]), int(f[p])
-        r, t = divmod(int(np.argmax(neq[b])), n)
-        u, v = _pair_words(m, rel, q, s)
-        return Verdict(False, EQ_WGONE, ViolationWitness(
-            elements={"q": q, "r": r, "s": s, "t": t, "e": e_p, "f": f_p},
-            words={"q": u, "r": m.witness[r], "s": v,
-                   "t": m.witness[t], "e": m.witness[e_p], "f": m.witness[f_p]},
-            lhs=int(lhs[b, r, t]),
-            rhs=int(rhs[b, r, t]),
-        ))
-    return Verdict(True, EQ_WGONE)
+    pair (q, s) and idempotents e, f of S: the class sweep over E(S), since
+    x = eqfre ends in e, so that x^ω q f = x^ω (eqf)."""
+    return _class_sweep(m, rel, m.idempotents_s, EQ_WGONE)
 
 
 def _check_simon(m: SyntacticMorphism) -> Verdict:
@@ -347,7 +355,7 @@ def _check_simon(m: SyntacticMorphism) -> Verdict:
 
 def _check_knast(m: SyntacticMorphism) -> Verdict:
     """KNAST swept one (q, s) of S at a time, all (e, f) in one [(e, f), r, t]
-    block, split along (e, f) past _CHUNK_CAP entries: a block's first
+    block, split along (e, f) past _ENTRY_CAP entries: a block's first
     entry in C order is the first violation of the q, s, e, f, r, t sweep."""
     table = np.ascontiguousarray(m.table, dtype=np.int32)
     omega = _omega_all(m)
@@ -356,7 +364,7 @@ def _check_knast(m: SyntacticMorphism) -> Verdict:
     idem = np.asarray(m.idempotents_s, dtype=np.int32)
     e_of = np.repeat(idem, len(idem))[:, None]    # [(e, f), 1] -> e
     f_of = np.tile(idem, len(idem))[:, None]      # [(e, f), 1] -> f
-    step = max(1, _CHUNK_CAP // max(1, len(sub) ** 2))
+    step = max(1, _ENTRY_CAP // max(1, len(sub) ** 2))
 
     def guarded_omega(x: int) -> np.ndarray:
         exf = table[table[e_of, x], f_of]
@@ -437,18 +445,14 @@ def recompute_sides(m: SyntacticMorphism, equation: str,
     if equation == EQ_POLGP:
         e, s = elements["e"], elements["s"]
         return e, t_(t_(e, s), e)
-    if equation == EQ_GONE:
+    if equation in (EQ_GONE, EQ_WGONE, EQ_KNAST):
         q, r, s, t = (elements[k] for k in "qrst")
-        qr_om = om(t_(q, r))
-        st, st_om = t_(s, t), om(t_(s, t))
-        return t_(qr_om, t_(st_om, st)), t_(t_(t_(qr_om, q), t), st_om)
-    if equation == EQ_WGONE or equation == EQ_KNAST:
-        q, r, s, t = (elements[k] for k in "qrst")
-        e, f = elements["e"], elements["f"]
+        # GONE is WGONE with e = f = 1
+        e, f = elements.get("e", m.identity), elements.get("f", m.identity)
         x = t_(t_(t_(t_(e, q), f), r), e)
         y = t_(t_(t_(t_(e, s), f), t), e)
         x_om, y_om = om(x), om(y)
-        left_tail = t_(y_om, y) if equation == EQ_WGONE else y_om
+        left_tail = y_om if equation == EQ_KNAST else t_(y_om, y)
         return t_(x_om, left_tail), t_(t_(t_(t_(x_om, q), f), t), y_om)
     if equation == EQ_SIMON:
         s, t = elements["s"], elements["t"]

@@ -7,10 +7,12 @@ share no code with the vectorized checkers.
 
 import random
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from hierarchy_one import membership
 from hierarchy_one.errors import UsageError
 from hierarchy_one.lang import combine, compile_dfa, minimize
 from hierarchy_one.membership import (
@@ -339,6 +341,25 @@ def test_wgone_first_violation_matches_the_block_loop(morphism_corpus):
     assert refuted > 100
 
 
+def test_wgone_first_violation_matches_the_block_loop_on_ladders():
+    # the n-th-letter monoids k = 2, 3 (|M| = 7, 15; |E(S)| = 4, 8) are
+    # dot-depth one, so every relation here is a full sweep: ST and MOD
+    # pairs and random explicit relations
+    rng = random.Random(2718)
+    for k in (2, 3):
+        m = nth_letter_from_end(k)
+        n = m.element_count
+        relations = [st_pairs(m), mod_pairs(m)]
+        for density in (0.05, 0.3, 0.8):
+            relations.append(explicit_pairs(
+                m, [(q, s) for q in range(n) for s in range(n) if rng.random() < density]))
+        for rel in relations:
+            verdict = check_bpol_group_plus(m, rel)
+            assert verdict == loop_wgone(m, rel)
+            if not verdict.member:
+                assert verify_witness(m, verdict)
+
+
 def loop_gone(m, rel):
     """GONE swept one |M|×|M| (r, t) block per pair (q, s): q ascending,
     then s ascending with s = q skipped. Returns the first violation's
@@ -448,9 +469,9 @@ def test_gone_decides_large_monoids_in_seconds(case):
         assert verify_witness(m, verdict)
 
 
-@pytest.mark.parametrize("k", [4, 5])
+@pytest.mark.parametrize("k", [4, 5, 6])
 def test_nth_letter_from_end_is_dot_depth_one_in_seconds(k):
-    # |M| = 2^(k+1) - 1: 31 and 63 elements, millions of (q, s, e, f) blocks
+    # |M| = 2^(k+1) - 1: 31, 63 and 127 elements, up to 66 M (q, s, e, f) blocks
     m = transition_monoid(minimize(compile_dfa("(a|b)*a" + "(a|b)" * (k - 1), "ab")))
     assert m.element_count == 2 ** (k + 1) - 1
     rel = st_pairs(m)
@@ -459,11 +480,36 @@ def test_nth_letter_from_end_is_dot_depth_one_in_seconds(k):
     elapsed = time.perf_counter() - t0
     assert verdict.member
     assert elapsed < 5.0
+    # the sweep's arrays and temporaries stay within 16 cap-sized byte
+    # buffers; one unit spanning the whole sweep would need gigabytes
+    tracemalloc.start()
+    try:
+        check_bpol_group_plus(m, rel)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * membership._ENTRY_CAP
     if k == 4:
         assert check_specialized(m, EQ_KNAST).member
     else:
         # Pol(ST+) ⊆ BPol(ST+)
         assert check_pol_group_plus(m, syntactic_preorder(m), rel).member
+
+
+def test_gone_and_wgone_do_not_call_each_other(monkeypatch, morphism_corpus):
+    # perfbench wraps both checkers by name and counts sweep blocks per call,
+    # so a call of one inside the other would count its blocks twice
+    cases = [(m, st_pairs(m)) for _, m in morphism_corpus[:40]]
+    expected = [(check_bpol_group(m, rel), check_bpol_group_plus(m, rel)) for m, rel in cases]
+
+    def forbidden(*args):
+        raise AssertionError("the checkers must not call each other")
+
+    monkeypatch.setattr(membership, "check_bpol_group", forbidden)
+    assert [check_bpol_group_plus(m, rel) for m, rel in cases] == [w for _, w in expected]
+    monkeypatch.undo()
+    monkeypatch.setattr(membership, "check_bpol_group_plus", forbidden)
+    assert [check_bpol_group(m, rel) for m, rel in cases] == [g for g, _ in expected]
 
 
 # --- witness verification -------------------------------------------------------
