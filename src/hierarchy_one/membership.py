@@ -190,8 +190,7 @@ def _block_sides(table: np.ndarray, omega: np.ndarray, e: np.ndarray, x: np.ndar
     yte = table[table[y], e[:, None]]
     y_om = omega[yte]
     lhs = table[a[:, :, None], table[y_om, yte][:, None, :]]
-    rhs = table[table[a, x[:, None]][:, :, None],
-                table[np.arange(len(table)), y_om][:, None, :]]
+    rhs = table[table[a, x[:, None]][:, :, None], table[np.arange(len(table)), y_om][:, None, :]]
     return lhs, rhs
 
 
@@ -238,8 +237,8 @@ def _class_sweep(m: SyntacticMorphism, rel: PairRelation, idem: tuple[int, ...],
             neq = (lhs != rhs).reshape(len(i_b), -1)
             hit = neq.any(axis=1)[at]
             if hit.any():
+                u = at[hit.argmax()]
                 h = lo + int(hit.argmax())
-                u = at[h - lo]
                 r, t = divmod(int(neq[u].argmax()), n)
                 return (int(qi[h]), int(s[h]), b + int(i[h]), int(j[h]), r, t,
                         int(lhs[u, r, t]), int(rhs[u, r, t]))
@@ -248,8 +247,7 @@ def _class_sweep(m: SyntacticMorphism, rel: PairRelation, idem: tuple[int, ...],
     e_block = min(k, max(1, _ENTRY_CAP // (k * n ** 3)))
     group = max(1, _ENTRY_CAP // (e_block * k * n ** 3))
     blocks = {}                              # first e of a block -> its arrays, see below
-    # the row classes, keyed e·n² + a·n + b, that meet every column class of their e
-    held = np.zeros(k * nn, dtype=bool)
+    held = np.zeros(k * nn, dtype=bool)      # row classes e·n² + a·n + b meeting all of e's
     for lo in range(0, len(qs), group):
         gq = qs[lo:lo + group]
         first = None                         # the group's first failing position
@@ -263,8 +261,8 @@ def _class_sweep(m: SyntacticMorphism, rel: PairRelation, idem: tuple[int, ...],
             cand = pairs[gq][:, :, None, None]
             if filtered:
                 if classes is None:
-                    # column classes of (e, Z) keyed i·n² + c·n + d, those of every
-                    # Y = esf as (e, c, d), [i, Y, t] -> their index; [i, X]: it holds
+                    # column classes of (e, Z) keyed i·n² + c·n + d; those of each Y = esf
+                    # as (e, c, d), [i, Y, t] -> index; settled[i, X]: its row classes hold
                     zte = flat[table * n + e[:, None, None]]      # Z t e
                     z_om = omega[zte]
                     col = (flat[z_om * n + zte] + local * n) * n + flat[np.arange(n) * n + z_om]
@@ -272,7 +270,6 @@ def _class_sweep(m: SyntacticMorphism, rel: PairRelation, idem: tuple[int, ...],
                     is_y[local, ezf] = True
                     marks = np.zeros(len(e) * nn, dtype=bool)
                     marks[col[is_y]] = True
-                    del zte, z_om
                     v = marks.nonzero()[0]
                     cls = marks.cumsum(dtype=np.int32) - 1   # key of a class -> its index
                     v_e, v_cd = np.divmod(v, nn)
@@ -295,8 +292,10 @@ def _class_sweep(m: SyntacticMorphism, rel: PairRelation, idem: tuple[int, ...],
                     neq = (table[f_a, v_c[w]] != table[f_b, v_d[w]]) & (f_e == v_e[w])
                     held[fresh[neq.any(axis=1)]] = False
                     hot[c:c + neq.shape[1]] = neq.any(axis=0)
-                open_ = (~held[rows]).any(axis=3)               # [e, q, f]: X has a failing row class
+                open_ = (~held[rows]).any(axis=3)      # [e, q, f]: X has a failing row class
                 settled[local, x] = ~open_
+                if not open_.any():
+                    continue
                 cand = (cand & open_.transpose(1, 0, 2)[:, None]
                         & hot[cls].any(axis=2)[local, ezf].transpose(1, 0, 2)[None])
             found = first_failing(*(cand | np.zeros((len(e), k), dtype=bool)).nonzero(), x, ezf, b)
