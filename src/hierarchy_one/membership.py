@@ -172,8 +172,7 @@ def check_pol_group_plus(m: SyntacticMorphism, order: OrderRelation, rel: PairRe
     return Verdict(True, EQ_POLGP)
 
 
-# Entries a sweep temporary may hold, a few tens of MB: the class sweep's
-# units and KNAST's blocks are split at it.
+# Entries of a class sweep unit or a KNAST block: temporaries of a few tens of MB.
 _ENTRY_CAP = 1 << 20
 
 # Sweeps of at most this many entries are read off whole: filtering one by
@@ -218,6 +217,8 @@ def _class_sweep(m: SyntacticMorphism, rel: PairRelation, idem: tuple[int, ...],
     # e, which the ω-powers absorb, so both sides equal (eqfre)^ω q f t (eqfte)^ω.
     np.fill_diagonal(pairs, False)
     qs = pairs.any(axis=1).nonzero()[0]
+    if len(qs) == 0:                         # also when S, and with it idem, is empty
+        return Verdict(True, equation)
     filtered = int(pairs.sum()) * k * k * nn > _WHOLE_SWEEP
 
     def first_failing(qi, s, i, j, x, ezf, b):
@@ -310,8 +311,7 @@ def _class_sweep(m: SyntacticMorphism, rel: PairRelation, idem: tuple[int, ...],
             elements = dict(zip("qrst" + "ef" * (equation == EQ_WGONE), (q, r, s, t, e, f)))
             words = {var: m.witness[x] for var, x in elements.items()}
             words["q"], words["s"] = _pair_words(m, rel, q, s)
-            return Verdict(False, equation, ViolationWitness(
-                elements=elements, words=words, lhs=lhs, rhs=rhs))
+            return Verdict(False, equation, ViolationWitness(elements, words, lhs, rhs))
     return Verdict(True, equation)
 
 

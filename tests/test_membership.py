@@ -14,7 +14,7 @@ import pytest
 
 from hierarchy_one import membership
 from hierarchy_one.errors import UsageError
-from hierarchy_one.lang import combine, compile_dfa, minimize
+from hierarchy_one.lang import Dfa, combine, compile_dfa, minimize
 from hierarchy_one.membership import (
     EQ_GONE,
     EQ_GRBPOL,
@@ -506,6 +506,15 @@ def test_nth_letter_from_end_is_dot_depth_one_in_seconds(k):
     else:
         # Pol(ST+) ⊆ BPol(ST+)
         assert check_pol_group_plus(m, syntactic_preorder(m), rel).member
+
+
+def test_bpol_checks_hold_over_an_empty_alphabet():
+    # M = {1} and S is empty, so there is no pair and no idempotent of S
+    m = transition_monoid(minimize(Dfa(alphabet=(), states=1, initial=0,
+                                       finals=frozenset({0}), delta=((),))))
+    assert m.idempotents_s == ()
+    assert check_bpol_group(m, st_pairs(m)) == Verdict(True, EQ_GONE)
+    assert check_bpol_group_plus(m, st_pairs(m)) == Verdict(True, EQ_WGONE)
 
 
 def test_gone_and_wgone_do_not_call_each_other(monkeypatch, morphism_corpus):
