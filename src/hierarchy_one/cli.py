@@ -5,11 +5,8 @@ Pol/BPol class), pairs (dump a pair relation), cover (greedy group-language
 cover), decompose (guarded block decomposition), batch (manifest of decide
 cases with expected verdicts, run in a worker pool).
 
-Exit codes: decide uses 0 member / 1 non-member / 2 error / 3 conditional
-(a non-member verdict over an uncertified pair relation). cover exits 0 only
-for certified covers.
-pairs exits 3 when the relation is uncertified. Everything else: 0 ok,
-2 error.
+Exit codes: decide uses 0 member / 1 non-member / 2 error. cover exits 0
+only for certified covers. Everything else: 0 ok, 2 error.
 """
 
 from __future__ import annotations
@@ -54,7 +51,6 @@ EXIT_MEMBER = 0
 EXIT_OK = 0
 EXIT_NONMEMBER = 1
 EXIT_ERROR = 2
-EXIT_CONDITIONAL = 3
 
 
 # ---------------------------------------------------------------------------
@@ -112,15 +108,6 @@ def _show_word(w: str) -> str:
 # decide
 
 
-def _decide_exit(report: Report) -> int:
-    # An uncertified relation holds every true pair and maybe more, and the
-    # equations hold for every pair: a member verdict is final, only a
-    # non-member verdict may rest on a pair the exact relation lacks.
-    if report.member:
-        return EXIT_MEMBER
-    return EXIT_NONMEMBER if report.certified else EXIT_CONDITIONAL
-
-
 def _print_report(report: Report, show_witness: bool) -> None:
     name = class_name(report.basis, report.level, report.plus)
     verdict = "MEMBER of" if report.member else "NOT a member of"
@@ -131,9 +118,6 @@ def _print_report(report: Report, show_witness: bool) -> None:
     if report.pair_count is not None:
         print(f", {report.pair_count} pairs", end="")
     print(f" [{report.elapsed_s:.3f}s]")
-    if _decide_exit(report) == EXIT_CONDITIONAL:
-        print("  CONDITIONAL: the pair relation was not certified within "
-              "budget; the violation may use a pair the exact relation lacks")
     w = report.witness
     if w is not None:
         roles = sorted(w.elements)
@@ -166,7 +150,7 @@ def cmd_decide(args: argparse.Namespace) -> int:
     _print_report(report, args.witness)
     if args.json:
         _write_json(args.json, report.to_dict())
-    return _decide_exit(report)
+    return EXIT_MEMBER if report.member else EXIT_NONMEMBER
 
 
 # ---------------------------------------------------------------------------
@@ -213,8 +197,7 @@ def cmd_pairs(args: argparse.Namespace) -> int:
     rel = pair_relation(m, basis, node_budget=args.budget)
     n = rel.element_count
     print(f"{args.input}: {rel.count} {rel.basis}-pairs over "
-          f"{n}x{n} elements"
-          + ("" if rel.certified else " (UNCERTIFIED: budget hit)"))
+          f"{n}x{n} elements")
     shown = 0
     for s, t in rel.pairs_iter():
         if shown >= args.limit:
@@ -228,7 +211,7 @@ def cmd_pairs(args: argparse.Namespace) -> int:
         shown += 1
     if args.json:
         _write_json(args.json, pairs_to_dict(rel))
-    return EXIT_OK if rel.certified else EXIT_CONDITIONAL
+    return EXIT_OK
 
 
 # ---------------------------------------------------------------------------

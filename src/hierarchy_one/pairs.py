@@ -3,27 +3,35 @@
 A pair (s, t) belongs to the relation for a base class when no language of
 that class separates the words mapping to s from the words mapping to t.
 Bases: ST (trivial), MOD (word length modulo a period), AMT (per-letter
-counts modulo a period), or any custom finite group acting through a
+counts modulo any number), or any custom finite group acting through a
 morphism. Each relation is reflexive and symmetric, never transitive in
 general, and carries witness word pairs where the search found them.
+
+The AMT relation is exact. By Parikh's theorem (1966) the letter counts of
+the words mapping to s form a semilinear set, whose closure in Ẑ^A is a
+finite union of cosets v + L of subgroups of Z^A; every subgroup of Z^A is
+closed, so (s, t) is a pair iff a coset of s and one of t meet in Z^A.
 
 The pair set is stored as a dense boolean matrix (desk-scale monoids reach a
 few thousand elements, where tuple sets would thrash). Witnesses are read
 on demand through one hook that each constructor sets: element words for ST
 and explicit pairs, words of congruent lengths for MOD, and for group bases
-the words recorded at the lowest group value that reaches both elements.
+and AMT the words recorded at the lowest group value that reaches both
+elements.
 """
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Callable, Iterable, Iterator, Mapping, Optional
 
 import numpy as np
 
-from .errors import AlphabetError, DEFAULT_GROUP_NODE_BUDGET, budget_from_env
-from .monoid import StableInfo, SyntacticMorphism, stable_sequence, words_by_length
+from .errors import AlphabetError, BudgetError, DEFAULT_GROUP_NODE_BUDGET, budget_from_env
+from .monoid import SyntacticMorphism, stable_sequence, words_by_length
 
 BASIS_ST = "ST"
 BASIS_MOD = "MOD"
@@ -334,22 +342,24 @@ def _group_witness(
     return witness
 
 
+def _capped_reach(m: SyntacticMorphism, g: GroupPresentation) -> tuple[np.ndarray, dict[int, str]]:
+    """`_group_reach` recording words to depth n0 + 2p + |M| (stability
+    threshold plus period data); deeper nodes are reached without words."""
+    info = stable_sequence(m)
+    return _group_reach(m, g, witness_cap=info.threshold + 2 * info.period + m.element_count)
+
+
 def group_morphism_pairs(
     m: SyntacticMorphism,
     g: GroupPresentation,
-    basis: Optional[str] = None,
 ) -> PairRelation:
     """Pairs (s, t) reachable with a common group value: saturate (γ, s)
     states from the identities, then join the reach mask with itself over γ.
-
-    Witness recording is capped at depth n0 + 2p + |M| (stability threshold
-    plus period data); deeper pairs stay in the relation without words."""
-    info = stable_sequence(m)
-    cap = info.threshold + 2 * info.period + m.element_count
-    visited, words = _group_reach(m, g, witness_cap=cap)
+    Pairs deeper than the witness cap of `_capped_reach` have no words."""
+    visited, words = _capped_reach(m, g)
     n = m.element_count
     return PairRelation(
-        basis=basis if basis is not None else f"CUSTOM:{g.name}",
+        basis=f"CUSTOM:{g.name}",
         matrix=_group_join(visited, n),
         _witness=_group_witness(visited, n, words),
     )
@@ -392,30 +402,139 @@ def _feasible_lcm(count: int, n_letters: int, n_m: int, budget: int) -> tuple[in
     return best_k, best_q
 
 
+# --- alphabet-modular pairs: Parikh cosets ---------------------------------
+
+Vector = tuple[int, ...]
+Lattice = tuple[Vector, ...]  # Hermite normal form rows, pivots increasing
+
+
+def _reduce(v: Vector, lattice: Lattice) -> Vector:
+    """The representative of v + lattice with each pivot coordinate in
+    [0, pivot): unique, since the rows are in echelon form."""
+    for row in lattice:
+        p = next(i for i, x in enumerate(row) if x)
+        k = v[p] // row[p]
+        v = tuple(x - k * y for x, y in zip(v, row))
+    return v
+
+
+def _hnf(vectors: Iterable[Vector]) -> Lattice:
+    """Hermite normal form of the Z-span of `vectors` (Python ints): each
+    vector enters by Euclid against the row holding its leading column."""
+    rows: dict[int, Vector] = {}
+    for v in vectors:
+        for p in range(len(v)):
+            row = rows.get(p, (0,) * len(v))
+            while v[p]:
+                k = row[p] // v[p]
+                row, v = v, tuple(x - k * y for x, y in zip(row, v))
+            if row[p]:
+                rows[p] = row if row[p] > 0 else tuple(-x for x in row)
+    ordered = [rows[p] for p in sorted(rows)]
+    return tuple(_reduce(row, tuple(ordered[i + 1:])) for i, row in enumerate(ordered))
+
+
+def _parikh_cosets(m: SyntacticMorphism, letter_vectors: list[Vector],
+                   budget: int) -> list[list[tuple[Vector, Lattice]]]:
+    """Per element s, the cosets v + L of Z^d (v reduced modulo L) whose
+    union has the closure in Ẑ^d of {ψ(w) : α(w) = s}, ψ the morphism that
+    sends letter a to letter_vectors[a].
+
+    The components of the right Cayley graph are the R-classes, and a path
+    only enters classes of smaller right ideals. In a component C, BFS
+    potentials make a walk x → y weigh pot(y) − pot(x) plus its defects
+    pot(x) + ψ(a) − pot(x·a), and its cycles reach the span L_C of the
+    defects densely. So each edge into C turns each coset of its source
+    into one over L + L_C. More than `budget` cosets raise BudgetError."""
+    n = m.element_count
+    zero = (0,) * (len(letter_vectors[0]) if letter_vectors else 0)
+    right = m.table[:, [m.letter_image[a] for a in m.alphabet]].tolist()
+    reach = np.zeros((n, n), dtype=bool)
+    reach[np.arange(n)[:, None], m.table] = True  # reach[x, y]: y ∈ xM
+    label: dict[bytes, int] = {}
+    comp = [label.setdefault(row.tobytes(), len(label)) for row in np.packbits(reach, axis=1)]
+    members: dict[int, list[int]] = {}
+    for x in np.lexsort((np.arange(n) != m.identity, -reach.sum(axis=1))).tolist():
+        members.setdefault(comp[x], []).append(x)
+    lattice_sum = functools.cache(lambda a, b: _hnf(a + b))
+    pot: list[Optional[Vector]] = [None] * n
+    entering: dict[int, list[tuple[int, Vector, int]]] = {}
+    cosets: list[list[tuple[Vector, Lattice]]] = [[] for _ in range(n)]
+    total = 0
+    for c, xs in members.items():
+        pot[xs[0]], queue, defects = zero, [xs[0]], []
+        for x in queue:  # BFS inside C: the queue grows as it goes
+            for a, y in enumerate(right[x]):
+                step = tuple(p + e for p, e in zip(pot[x], letter_vectors[a]))
+                if comp[y] != c:
+                    entering.setdefault(comp[y], []).append((x, letter_vectors[a], y))
+                elif pot[y] is not None:
+                    defects.append(tuple(p - q for p, q in zip(step, pot[y])))
+                else:
+                    pot[y] = step
+                    queue.append(y)
+        lattice = _hnf(defects)
+        found = {(zero, lattice)} if xs[0] == m.identity else set()
+        for x, e, y in entering.pop(c, ()):
+            for v, inner in cosets[x]:
+                both = lattice_sum(inner, lattice)
+                found.add((_reduce(tuple(p + d - q for p, d, q in zip(v, e, pot[y])), both), both))
+        total += len(found) * len(xs)
+        if total > budget:
+            raise BudgetError(f"construction exceeded the node budget ({budget}) at stage "
+                              f"AMT cosets: monoid with {n} elements, {total} cosets found")
+        for y in xs:
+            cosets[y] = [(_reduce(tuple(map(sum, zip(v, pot[y]))), lat), lat) for v, lat in found]
+    return cosets
+
+
+def _coset_join(cosets: list[list[tuple[Vector, Lattice]]]) -> np.ndarray:
+    """(s, t) is a pair iff a coset v + L of s meets a coset v′ + L′ of t,
+    that is v − v′ ∈ L + L′. For each two lattices, every coset over either
+    is reduced once modulo their sum, and equal representatives match."""
+    groups: dict[Lattice, list[tuple[int, Vector]]] = {}
+    for s, found in enumerate(cosets):
+        for v, lat in found:
+            groups.setdefault(lat, []).append((s, v))
+    matrix = np.zeros((len(cosets),) * 2, dtype=bool)
+    for lat, other in itertools.combinations_with_replacement(groups, 2):
+        both = _hnf(lat + other)
+        rows: dict[Vector, list[int]] = {}
+        for s, v in groups[lat]:
+            rows.setdefault(_reduce(v, both), []).append(s)
+        for t, v in groups[other]:
+            matrix[rows.get(_reduce(v, both), []), t] = True
+    return matrix | matrix.T
+
+
 def amt_pairs(
     m: SyntacticMorphism,
     node_budget: Optional[int] = None,
 ) -> PairRelation:
-    """Pairs not separable by per-letter counts modulo q = lcm(1..|M|).
+    """Pairs not separable by per-letter counts modulo any number, exactly.
 
-    Works in (Z/q)^A. When the exact q (or a certification step) exceeds the
-    node budget, the largest feasible lcm(1..k) is used instead and the
-    relation is returned with certified=False. Certification recomputes the
-    matrix over (Z/(q·r))^A for every prime r ≤ |M| and demands equality."""
+    (s, t) is a pair iff the closures in Ẑ^A of the Parikh images of
+    α⁻¹(s) and α⁻¹(t) meet. By Parikh's theorem (1966) those images are
+    semilinear, and each closure is a finite union of cosets v + L of
+    subgroups of Z^A (`_parikh_cosets`). Every subgroup of Z^A is closed,
+    so two cosets meet in Ẑ^A iff they meet in Z^A (`_coset_join`). The
+    node budget bounds the coset count.
+
+    Witness words come from a BFS over (Z/q)^A × M, q = lcm(1..|M|) or the
+    largest lcm(1..k) within the node budget, run when a witness is first
+    asked for: each AMT pair is a pair of that group too."""
     budget = node_budget if node_budget is not None else budget_from_env(DEFAULT_GROUP_NODE_BUDGET)
-    n = m.element_count
-    n_letters = len(m.alphabet)
-    k, q = _feasible_lcm(n, n_letters, n, budget)
-    base = group_morphism_pairs(m, parikh_group(q, m.alphabet), basis=BASIS_AMT)
-    certified = k == n
-    if certified:
-        primes = [r for r in range(2, n + 1) if all(r % d for d in range(2, r))]
-        for r in primes:
-            if ((q * r) ** n_letters) * n > budget:
-                certified = False
-                break
-            visited, _ = _group_reach(m, parikh_group(q * r, m.alphabet), witness_cap=0)
-            if not np.array_equal(_group_join(visited, n), base.matrix):
-                certified = False
-                break
-    return replace(base, certified=certified)
+    n, k = m.element_count, len(m.alphabet)
+
+    @functools.cache
+    def bfs_witness() -> Callable[[int, int], Optional[tuple[str, str]]]:
+        _, q = _feasible_lcm(n, k, n, budget)
+        visited, words = _capped_reach(m, parikh_group(q, m.alphabet))
+        return _group_witness(visited, n, words)
+
+    units = [tuple(int(a == b) for b in range(k)) for a in range(k)]
+    return PairRelation(
+        basis=BASIS_AMT,
+        matrix=_coset_join(_parikh_cosets(m, units, budget)),
+        _witness=lambda s, t: bfs_witness()(s, t),
+    )

@@ -234,13 +234,10 @@ def test_criterion_7_hierarchy_sanity(morphism_corpus):
         order = syntactic_preorder(m)
         st = st_pairs(m)
         mod = mod_pairs(m)
-        relations = [("st", st), ("mod", mod)]
-        if m.element_count <= 6:  # beyond this the certification budget is out of reach
-            amt = amt_pairs(m)
-            if amt.certified:
-                relations.append(("amt", amt))
-                if (amt.matrix & ~mod.matrix).any():
-                    violations.append(f"[{idx}] amt pairs escape mod pairs")
+        amt = amt_pairs(m)
+        relations = [("st", st), ("mod", mod), ("amt", amt)]
+        if (amt.matrix & ~mod.matrix).any():
+            violations.append(f"[{idx}] amt pairs escape mod pairs")
         if (mod.matrix & ~st.matrix).any():
             violations.append(f"[{idx}] mod pairs escape the full square")
         members = {}
@@ -257,9 +254,8 @@ def test_criterion_7_hierarchy_sanity(morphism_corpus):
             for plus in (False, True):
                 if members[("st", level, plus)] and not members[("mod", level, plus)]:
                     violations.append(f"[{idx}] st {level} member but mod refused")
-                if ("amt", level, plus) in members:
-                    if members[("mod", level, plus)] and not members[("amt", level, plus)]:
-                        violations.append(f"[{idx}] mod {level} member but amt refused")
+                if members[("mod", level, plus)] and not members[("amt", level, plus)]:
+                    violations.append(f"[{idx}] mod {level} member but amt refused")
         # shrinking the pair set can only help membership
         if m.element_count > 1:
             keep = [(s, t) for s, t in st.pairs_iter()

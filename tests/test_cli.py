@@ -61,26 +61,17 @@ def test_gr_outside_bpol_is_rejected_with_the_stated_message(capsys):
         assert "unsupported: GR-pairs not computable in this tool" in err
 
 
-def test_uncertified_relation_exits_conditional(capsys):
-    # a budget this small degrades the modulus: the relation gains pairs
-    # and the verdict flips to a non-member, which is only conditional
+@pytest.mark.parametrize("budget", ["3", "5"])
+def test_small_budget_amt_decide_is_the_exact_member(budget, tmp_path, capsys):
+    # (aa)* has two AMT cosets: budgets this small still give the exact
+    # relation, so the member verdict is certified
+    out = tmp_path / "report.json"
     code = main(["decide", "--alphabet", "a", "--basis", "amt",
-                 "(aa)*", "--budget", "3"])
-    out = capsys.readouterr().out
-    assert code == 3
-    assert "NOT a member" in out
-    assert "CONDITIONAL" in out
-
-
-def test_uncertified_member_verdict_is_final(capsys):
-    # an uncertified relation is a superset of the exact one, so a member
-    # verdict over it holds over the exact relation too
-    code = main(["decide", "--alphabet", "a", "--basis", "amt",
-                 "(aa)*", "--budget", "5"])
-    out = capsys.readouterr().out
+                 "(aa)*", "--budget", budget, "--json", str(out)])
     assert code == 0
-    assert "MEMBER of" in out
-    assert "CONDITIONAL" not in out
+    assert "MEMBER of" in capsys.readouterr().out
+    doc = json.loads(out.read_text())
+    assert doc["member"] is True and doc["certified"] is True
 
 
 def test_decide_agrees_with_library_on_random_inputs(tmp_path, capsys):
@@ -164,10 +155,15 @@ def test_pairs_lists_relation(tmp_path, capsys):
     assert [[s, t] for s, t, _, _ in doc["pairs"]] == [[0, 0], [1, 1]]
 
 
-def test_pairs_exit_conditional_when_uncertified(capsys):
-    assert main(["pairs", "--alphabet", "a", "--basis", "amt", "(aa)*",
-                 "--budget", "5"]) == 3
-    assert "UNCERTIFIED" in capsys.readouterr().out
+def test_pairs_amt_is_exact_at_small_budgets(tmp_path, capsys):
+    out = tmp_path / "pairs.json"
+    for budget in ("3", "5"):
+        assert main(["pairs", "--alphabet", "a", "--basis", "amt", "(aa)*",
+                     "--budget", budget, "--json", str(out)]) == 0
+        assert "(aa)*: 2 AMT-pairs over 2x2 elements\n" in capsys.readouterr().out
+        doc = json.loads(out.read_text())
+        assert doc["certified"] is True
+        assert [[s, t] for s, t, _, _ in doc["pairs"]] == [[0, 0], [1, 1]]
 
 
 def test_pairs_gr_is_rejected(capsys):

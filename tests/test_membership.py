@@ -617,12 +617,9 @@ def test_usage_validation():
         decide("(aa)*")  # pattern without an alphabet
 
 
-def test_budget_starved_letter_count_verdicts_are_flagged():
-    # plenty of budget: exact relation, certified member
-    assert decide("(aa)*", "a", basis="amt").certified
-    # enough for the right modulus but not its confirmation sweep
-    r5 = decide("(aa)*", "a", basis="amt", node_budget=5)
-    assert (r5.member, r5.certified) == (True, False)
-    # so little that the modulus degrades and the verdict flips
-    r3 = decide("(aa)*", "a", basis="amt", node_budget=3)
-    assert (r3.member, r3.certified) == (False, False)
+def test_small_budget_letter_count_verdicts_are_exact():
+    # (aa)* has two AMT cosets: every budget from 2 up gives the exact
+    # relation, and with it the certified member verdict
+    for budget in (None, 5, 3):
+        report = decide("(aa)*", "a", basis="amt", node_budget=budget)
+        assert (report.member, report.certified) == (True, True)

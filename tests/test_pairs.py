@@ -5,18 +5,29 @@ of explicit group-morphism relations — a slower but definitionally direct
 computation.
 """
 
+import itertools
 import json
 import random
+import re
+import tracemalloc
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from hierarchy_one import pairs
-from hierarchy_one.lang import compile_dfa, minimize
+from hierarchy_one.errors import DEFAULT_GROUP_NODE_BUDGET, BudgetError, budget_from_env
+from hierarchy_one.lang import Dfa, compile_dfa, minimize
 from hierarchy_one.monoid import stable_sequence, transition_monoid, words_by_length
 from hierarchy_one.pairs import (
+    BASIS_AMT,
+    _coset_join,
+    _feasible_lcm,
+    _group_join,
     _group_reach,
+    _hnf,
+    _parikh_cosets,
+    _reduce,
     amt_pairs,
     cyclic_length_group,
     explicit_pairs,
@@ -154,12 +165,34 @@ def test_amt_matches_letter_count_group_intersection():
         assert np.array_equal(rel.matrix, oracle)
 
 
-def test_amt_budget_exhaustion_degrades_to_uncertified():
+def test_amt_pairs_are_exact_at_small_budgets():
+    # (aa)* has two cosets, so budgets 3 and 5 hold the exact relation; the
+    # witness search then runs at the largest lcm(1..k) the budget admits
     m = monoid_of("(aa)*", "a")
-    rel = amt_pairs(m, node_budget=5)
-    assert not rel.certified
-    # the budget-limited relation is still a sound over-approximation
-    assert not (amt_pairs(m).matrix & ~rel.matrix).any()
+    for budget in (3, 5):
+        rel = amt_pairs(m, node_budget=budget)
+        assert rel.certified
+        assert rel.pairs_set() == {(0, 0), (1, 1)}
+        for s, t in rel.pairs_iter():
+            u, v = rel.witness_for(s, t)
+            assert m.evaluate(u) == s and m.evaluate(v) == t
+
+
+def test_amt_coset_count_past_the_budget_raises_with_stage_and_count():
+    m = monoid_of("(a|b)*a(a|b)(a|b)(a|b)(a|b)", "ab")   # |M| = 63
+    total = sum(len(found) for found in _parikh_cosets(m, UNITS_AB, 10**9))
+    tracemalloc.start()
+    try:
+        with pytest.raises(BudgetError) as info:
+            amt_pairs(m, node_budget=10)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    match = re.fullmatch(r"construction exceeded the node budget \(10\) at stage AMT cosets: "
+                         r"monoid with 63 elements, (\d+) cosets found", str(info.value))
+    assert match, str(info.value)
+    assert 10 < int(match.group(1)) < total   # stopped at the first component past it
+    assert peak < 1 << 20
 
 
 # --- custom groups -----------------------------------------------------------
@@ -310,27 +343,115 @@ def test_group_join_equals_the_bucket_oracle(morphism_corpus):
                 assert rel.witness_for(s, t) == witnesses[(s, t)]
 
 
-def test_amt_certification_joins_equal_the_bucket_oracle(morphism_corpus, monkeypatch):
-    joins = []
-    join = pairs._group_join
+def bfs_amt_pairs(
+    m,
+    node_budget=None,
+):
+    """The AMT relation before it was computed exactly, kept as the oracle:
+    a BFS over (Z/q)^A × M at q = lcm(1..|M|), certified by one more BFS
+    at q·r for every prime r ≤ |M|. Only the basis tag moved, from an
+    argument of group_morphism_pairs into the final replace."""
+    budget = node_budget if node_budget is not None else budget_from_env(DEFAULT_GROUP_NODE_BUDGET)
+    n = m.element_count
+    n_letters = len(m.alphabet)
+    k, q = _feasible_lcm(n, n_letters, n, budget)
+    base = group_morphism_pairs(m, parikh_group(q, m.alphabet))
+    certified = k == n
+    if certified:
+        primes = [r for r in range(2, n + 1) if all(r % d for d in range(2, r))]
+        for r in primes:
+            if ((q * r) ** n_letters) * n > budget:
+                certified = False
+                break
+            visited, _ = _group_reach(m, parikh_group(q * r, m.alphabet), witness_cap=0)
+            if not np.array_equal(_group_join(visited, n), base.matrix):
+                certified = False
+                break
+    return replace(base, basis=BASIS_AMT, certified=certified)
 
-    def recording_join(visited, n):
-        matrix = join(visited, n)
-        joins.append((visited, n, matrix))
-        return matrix
 
-    monkeypatch.setattr(pairs, "_group_join", recording_join)
+def test_amt_pairs_equal_the_certified_bfs_oracle(morphism_corpus):
     seen = set()
+    compared = 0
     for _, m in morphism_corpus:
         key = (m.table.tobytes(), tuple(sorted(m.letter_image.items())))
-        if m.element_count > 6 or key in seen:
+        n = m.element_count
+        # the oracle certifies only where lcm(1..|M|) fits its node budget
+        if key in seen or _feasible_lcm(n, len(m.alphabet), n, DEFAULT_GROUP_NODE_BUDGET)[0] < n:
             continue
         seen.add(key)
-        joins.clear()
-        amt_pairs(m)
-        assert len(joins) > 1 or m.element_count == 1
-        for visited, n, matrix in joins:
-            assert np.array_equal(matrix, bucket_group_pairs(visited, n, {})[0])
+        oracle = bfs_amt_pairs(m)
+        if not oracle.certified:
+            continue
+        rel = amt_pairs(m)
+        assert np.array_equal(rel.matrix, oracle.matrix)
+        assert pairs_to_dict(rel) == pairs_to_dict(oracle)
+        compared += 1
+    assert compared >= 20
+
+
+# --- lattices and cosets -----------------------------------------------------
+
+UNITS_AB = [(1, 0), (0, 1)]
+
+
+def test_hnf_membership_equals_brute_force_on_small_boxes():
+    rng = random.Random(4242)
+    for _ in range(60):
+        dim = rng.choice((1, 2, 3))
+        gens = [tuple(rng.randint(-3, 3) for _ in range(dim))
+                for _ in range(rng.randint(0, 3 if dim < 3 else 2))]
+        lattice = _hnf(gens)
+        assert lattice == _hnf(gens[::-1] + [tuple(map(sum, zip(*gens))) if gens else (0,) * dim])
+        for row in lattice:
+            assert _reduce(row, lattice) == (0,) * dim
+        # the lattice points that ± generator steps reach from 0 inside a box
+        # well beyond the one tested
+        radius = (60, 30, 10)[dim - 1]
+        spanned, queue = {(0,) * dim}, [(0,) * dim]
+        for v in queue:
+            for g in gens:
+                for w in (tuple(x + y for x, y in zip(v, g)), tuple(x - y for x, y in zip(v, g))):
+                    if w not in spanned and max(map(abs, w)) <= radius:
+                        spanned.add(w)
+                        queue.append(w)
+        for v in itertools.product(range(-3, 4), repeat=dim):
+            assert (_reduce(v, lattice) == (0,) * dim) == (v in spanned), (gens, v)
+
+
+def test_length_projected_cosets_equal_mod_pairs(morphism_corpus):
+    for _, m in morphism_corpus:
+        cosets = _parikh_cosets(m, [(1,)] * len(m.alphabet), 10**9)
+        assert np.array_equal(_coset_join(cosets), mod_pairs(m).matrix)
+
+
+def test_amt_pairs_on_an_empty_alphabet_and_a_one_element_monoid():
+    empty = transition_monoid(Dfa(alphabet=(), states=1, initial=0,
+                                  finals=frozenset({0}), delta=((),)))
+    everything = monoid_of("(a|b)*", "ab")
+    for m in (empty, everything):
+        assert m.element_count == 1
+        rel = amt_pairs(m)
+        assert rel.pairs_set() == {(0, 0)}
+        assert rel.witness_for(0, 0) == ("", "")
+
+
+def test_amt_pairs_when_the_identity_is_its_own_component():
+    # over {a}, "a" has M = {1, a, 0} with a·a = 0: no nonempty word returns
+    # to 1, whose only coset is the point 0; 0 has the coset Z, and a the
+    # point 1, so 1 and a are separated and both pair with 0
+    m = monoid_of("a", "a")
+    one, a = m.identity, m.evaluate("a")
+    zero = m.evaluate("aa")
+    assert m.identity not in m.nonempty_image and m.element_count == 3
+    rel = amt_pairs(m)
+    assert rel.pairs_set() == {(one, one), (a, a), (zero, zero), (one, zero),
+                               (zero, one), (a, zero), (zero, a)}
+    assert np.array_equal(rel.matrix, bfs_amt_pairs(m).matrix)
+    # a⁺ over {a}: 1 is again its own component, but a counts to 0 mod q too
+    m = monoid_of("aa*", "a")
+    assert m.identity not in m.nonempty_image
+    assert amt_pairs(m).count == 4
 
 
 def _listing(rel, witness):
