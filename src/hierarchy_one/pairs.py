@@ -437,8 +437,8 @@ def _hnf(vectors: Iterable[Vector]) -> Lattice:
 def _parikh_cosets(m: SyntacticMorphism, letter_vectors: list[Vector],
                    budget: int) -> list[list[tuple[Vector, Lattice]]]:
     """Per element s, the cosets v + L of Z^d (v reduced modulo L) whose
-    union has the closure in Ẑ^d of {ψ(w) : α(w) = s}, ψ the morphism that
-    sends letter a to letter_vectors[a].
+    union has the same closure in Ẑ^d as {ψ(w) : α(w) = s}, ψ the morphism
+    that sends letter a to letter_vectors[a].
 
     The components of the right Cayley graph are the R-classes, and a path
     only enters classes of smaller right ideals. In a component C, BFS
