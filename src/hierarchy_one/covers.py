@@ -11,7 +11,9 @@ blocks linked by idempotents that absorb the neighbouring block images.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Sequence
+
+import numpy as np
 
 from .errors import DEFAULT_STATE_BUDGET, UsageError, budget_from_env
 from .lang.dfa import (
@@ -21,10 +23,16 @@ from .lang.dfa import (
     includes,
     is_permutation_automaton,
     minimize,
+    words_of_length,
 )
 from .monoid import SyntacticMorphism, transition_monoid
 
 DEFAULT_COVER_BUDGET = 256
+# Up-arrows per balanced union tree; each tree's union then joins the covered
+# language. A tree over a whole layer of the 119-base benchmark cover ended
+# in a 3 792-state product of two unrelated halves (2.7 MB traced peak); with
+# 8 arrows per tree no product passes 1 185 states (1.2 MB).
+_MERGE_WIDTH = 8
 
 
 def up_arrow(l_dfa: Dfa, word: str, state_budget: Optional[int] = None) -> Dfa:
@@ -97,6 +105,14 @@ class CoverResult:
         return tuple(w for w, _ in self.entries)
 
 
+def _union(dfas: list[Dfa]) -> Dfa:
+    """The minimized union of a non-empty list, merged as a balanced tree."""
+    while len(dfas) > 1:
+        merged = [minimize(combine(x, y, "union")) for x, y in zip(dfas[::2], dfas[1::2])]
+        dfas = merged + dfas[len(merged) * 2:]
+    return dfas[0]
+
+
 def pgcov_cover(
     h_dfa: Dfa,
     l_dfa: Dfa,
@@ -105,10 +121,16 @@ def pgcov_cover(
     """Cover H with up-arrow languages ↑w of L, choosing base words greedily.
 
     Preconditions: minimize(L) is a permutation automaton and accepts the
-    empty word. Each round adds the shortest word of H not yet covered
+    empty word. Each base is the shortest word of H not yet covered
     (alphabet-order tie-break), so the chosen bases form an antichain: no
     base sits inside ↑ of another, even with gaps restricted to the kernel
-    of L's transition group."""
+    of L's transition group.
+
+    As ε ∈ L, the words of ↑w are at least |w| long and ↑w holds no other
+    word of length |w|. So the greedy choice takes every uncovered word of
+    the shortest uncovered length, in alphabet order, before any longer
+    one: the loop runs once per length layer, listing the layer's words in
+    one search and merging their up-arrows in one union."""
     budget = max_bases if max_bases is not None else DEFAULT_COVER_BUDGET
     h_min = minimize(h_dfa)
     l_min = minimize(l_dfa)
@@ -127,17 +149,91 @@ def pgcov_cover(
         if ok:
             certified = True
             break
-        if len(entries) >= budget:
+        room = budget - len(entries)
+        if room <= 0:
             break
-        arrow = up_arrow(l_min, gap)
-        entries.append((gap, arrow))
-        covered = minimize(combine(covered, arrow, "union"))
+        # One word past the room tells a cut inside the layer from one at its end.
+        layer = words_of_length(combine(h_min, covered, "difference"), len(gap), room + 1)
+        arrows = [up_arrow(l_min, w) for w in layer[:room]]
+        entries.extend(zip(layer, arrows))
+        if len(layer) > room:
+            break
+        for first in range(0, len(arrows), _MERGE_WIDTH):
+            group = _union(arrows[first: first + _MERGE_WIDTH])
+            covered = minimize(combine(covered, group, "union"))
 
     # The loop stops certified only once `includes(covered, h_min)` held;
     # what is left to check is that each base word lies in H and its ↑.
     if certified:
         certified = all(h_min.accepts(w) and arrow.accepts(w) for w, arrow in entries)
     return CoverResult(entries=tuple(entries), certified=certified)
+
+
+# Letters per batch of decomposition levels: bounds the scan arrays, whose
+# size would otherwise grow with the word.
+_CHUNK_LETTERS = 1 << 14
+_INT32_MAX = np.iinfo(np.int32).max
+
+
+def _letter_images(m: SyntacticMorphism, text: str) -> np.ndarray:
+    """α of each letter of `text`, as int32; KeyError on a symbol outside
+    the alphabet, as `m.evaluate` raises."""
+    size = max(map(ord, m.letter_image), default=0) + 2  # the last code maps no letter
+    lut = np.full(size, -1, dtype=np.int32)
+    for ch, x in m.letter_image.items():
+        lut[ord(ch)] = x
+    codes = np.frombuffer(text.encode("utf-32-le", "surrogatepass"), dtype=np.uint32)
+    images = lut[np.minimum(codes, size - 1)]
+    unknown = np.flatnonzero(images < 0)
+    if unknown.size:
+        raise KeyError(text[unknown[0]])
+    return images
+
+
+def _pair_index(table: np.ndarray, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """x·|M| + y elementwise: the position of the product x·y in the
+    flattened table, and a key that is equal exactly when both sides are."""
+    n = len(table)
+    return (x if n * n <= _INT32_MAX else x.astype(np.int64)) * n + y
+
+
+def _mul(table: np.ndarray, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """x·y elementwise, one gather from the flattened table."""
+    return np.take(table, _pair_index(table, x, y))
+
+
+def _reduce(table: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """The product of each row, multiplying adjacent columns pairwise."""
+    while rows.shape[1] > 1:
+        half = _mul(table, rows[:, 0:-1:2], rows[:, 1::2])
+        if rows.shape[1] % 2:
+            half = np.column_stack((half, rows[:, -1]))
+        rows = half
+    return rows[:, 0]
+
+
+def _scan(table: np.ndarray, rows: np.ndarray, reverse: bool = False) -> np.ndarray:
+    """Inclusive products along each row, x₀⋯xᵢ at column i (xᵢ⋯x_last when
+    `reverse`): a Hillis–Steele scan of table gathers (Hillis & Steele,
+    "Data parallel algorithms", 1986)."""
+    rows = rows.copy()
+    shift = 1
+    while shift < rows.shape[1]:
+        if reverse:
+            rows[:, :-shift] = _mul(table, rows[:, :-shift], rows[:, shift:])
+        else:
+            rows[:, shift:] = _mul(table, rows[:, :-shift], rows[:, shift:])
+        shift *= 2
+    return rows
+
+
+def block_images(m: SyntacticMorphism, words: Sequence[str]) -> np.ndarray:
+    """α of each word, as an int32 array: one padded batch reduction, each
+    word's letter images in a row filled up with the identity."""
+    lengths = np.fromiter(map(len, words), dtype=np.int64, count=len(words))
+    rows = np.full((len(words), int(lengths.max(initial=1))), m.identity, dtype=np.int32)
+    rows[np.arange(rows.shape[1]) < lengths[:, None]] = _letter_images(m, "".join(words))
+    return _reduce(m.table, rows)
 
 
 @dataclass(frozen=True)
@@ -158,17 +254,13 @@ class GuardedDecomposition:
             return False
         if word is not None and self.word() != word:
             return False
-        idem = set(m.idempotents_s)
-        images = map(m.evaluate, self.blocks)  # each block once, in order
-        right = None
-        for i, e in enumerate(self.links):
-            if e not in idem:
-                return False
-            left = next(images) if i == 0 else right
-            right = next(images)
-            if m.mul(left, e) != left or m.mul(e, right) != right:
-                return False
-        return True
+        if not set(self.links) <= set(m.idempotents_s):
+            return False
+        images = block_images(m, self.blocks)
+        left, right = images[:-1], images[1:]
+        links = np.array(self.links, dtype=np.int32)
+        return bool((_mul(m.table, left, links) == left).all()
+                    and (_mul(m.table, links, right) == right).all())
 
 
 def guarded_decomposition(m: SyntacticMorphism, word: str) -> GuardedDecomposition:
@@ -177,13 +269,23 @@ def guarded_decomposition(m: SyntacticMorphism, word: str) -> GuardedDecompositi
     Words of length ≤ |M|² stay in one block. Longer words are cut by
     scanning the last |M|²+1 letters for two positions with equal prefix and
     suffix images (a pigeonhole over M×M pairs, smallest (i, j) first); the
-    loop between them yields the idempotent link, and the head recurses."""
+    loop between them yields the idempotent link, and the head recurses.
+
+    The head always shrinks by |M|²+1 letters, so level ℓ scans the fixed
+    window word[N−(ℓ+1)(|M|²+1) : N−ℓ(|M|²+1)]. Levels are stacked into
+    arrays in chunks of about `_CHUNK_LETTERS` letters: prefix and suffix
+    images by scans, the first collision by a stable sort of each row."""
     if word == "":
         raise UsageError("the empty word has no block decomposition")
-    for ch in word:
-        if ch not in m.letter_image:
-            raise UsageError(f"symbol {ch!r} is outside the morphism's alphabet")
-    k = m.element_count**2
+    unknown = set(word).difference(m.letter_image)
+    if unknown:
+        ch = next(ch for ch in word if ch in unknown)
+        raise UsageError(f"symbol {ch!r} is outside the morphism's alphabet")
+    n = len(word)
+    width = m.element_count**2 + 1
+    levels = n // width
+    per_chunk = max(1, _CHUNK_LETTERS // width)
+    columns = np.arange(width)
 
     blocks_rev: list[str] = []
     links_rev: list[int] = []
@@ -191,36 +293,32 @@ def guarded_decomposition(m: SyntacticMorphism, word: str) -> GuardedDecompositi
     # next block emitted, which keeps every link to its right valid (a link
     # absorbing α(b) on the left also absorbs α(b·u)).
     carry = ""
-    rest = word
-    while len(rest) > k:
-        head, tail = rest[: -(k + 1)], rest[-(k + 1):]
-        prefixes = [0] * (k + 1)
-        acc = m.identity
-        for i, ch in enumerate(tail):
-            acc = m.mul(acc, m.letter_image[ch])
-            prefixes[i] = acc
-        suffixes = [0] * (k + 1)
-        suffixes[k] = m.identity
-        for i in range(k - 1, -1, -1):
-            suffixes[i] = m.mul(m.letter_image[tail[i + 1]], suffixes[i + 1])
-        found = None
-        for i in range(k):
-            for j in range(i + 1, k + 1):
-                if prefixes[i] == prefixes[j] and suffixes[i] == suffixes[j]:
-                    found = (i, j)
-                    break
-            if found is not None:
-                break
-        # Pigeonhole: k+1 (prefix, suffix) image pairs over at most |M|² = k
-        # values, so a collision always exists.
-        assert found is not None
-        i, j = found
-        loop = m.evaluate(tail[i + 1: j + 1])
-        blocks_rev.append(tail[i + 1:] + carry)
-        links_rev.append(m.omega(loop))
-        carry = tail[: i + 1]
-        rest = head
-    blocks_rev.append(rest + carry)
+    for first in range(0, levels, per_chunk):
+        last = min(levels, first + per_chunk)
+        tails = [word[n - (level + 1) * width: n - level * width] for level in range(first, last)]
+        letters = _letter_images(m, "".join(tails)).reshape(last - first, width)
+        prefixes = _scan(m.table, letters)
+        suffixes = np.full_like(letters, m.identity)
+        suffixes[:, :-1] = _scan(m.table, letters, reverse=True)[:, 1:]
+        keys = _pair_index(m.table, prefixes, suffixes)
+        # A stable sort keeps equal keys in position order, so the key after
+        # position i, when equal, marks the smallest j > i colliding with i.
+        order = np.argsort(keys, axis=1, kind="stable")
+        ordered = np.take_along_axis(keys, order, axis=1)
+        starts = np.where(ordered[:, 1:] == ordered[:, :-1], order[:, :-1], width)
+        at = starts.argmin(axis=1)
+        rows = np.arange(len(tails))
+        i_s, j_s = starts[rows, at], order[rows, at + 1]
+        # Pigeonhole: width = |M|²+1 (prefix, suffix) image pairs over at
+        # most |M|² values, so every row has a collision.
+        assert (i_s < width).all()
+        inside = (columns > i_s[:, None]) & (columns <= j_s[:, None])
+        loops = _reduce(m.table, np.where(inside, letters, m.identity))
+        links_rev.extend(m.omega(int(x)) for x in loops)
+        for tail, i in zip(tails, i_s.tolist()):
+            blocks_rev.append(tail[i + 1:] + carry)
+            carry = tail[: i + 1]
+    blocks_rev.append(word[: n - levels * width] + carry)
     return GuardedDecomposition(
         blocks=tuple(reversed(blocks_rev)),
         links=tuple(reversed(links_rev)),

@@ -412,6 +412,36 @@ def includes(outer: Dfa, inner: Dfa) -> tuple[bool, Optional[str]]:
             queue.append(nxt)
     return (True, None)
 
+def words_of_length(d: Dfa, length: int, limit: int) -> list[str]:
+    """The first `limit` accepted words of exactly `length` letters in
+    alphabet order (all of them when there are fewer).
+
+    A forward pass collects the states reachable in exactly r letters, a
+    backward pass keeps those from which a final state lies exactly
+    `length` − r letters ahead, and a depth-first walk through the kept
+    states spells the words without dead ends."""
+    ahead = [{d.initial}]
+    for _ in range(length):
+        ahead.append({t for q in ahead[-1] for t in d.delta[q]})
+    ahead[length] &= d.finals
+    for r in range(length - 1, -1, -1):
+        live = ahead[r + 1]
+        ahead[r] = {q for q in ahead[r] if any(t in live for t in d.delta[q])}
+    words: list[str] = []
+    stack = [(d.initial, "")] if d.initial in ahead[0] else []
+    while stack and len(words) < limit:
+        q, prefix = stack.pop()
+        r = len(prefix)
+        if r == length:
+            words.append(prefix)
+            continue
+        live = ahead[r + 1]
+        for a in range(len(d.alphabet) - 1, -1, -1):  # pushed last, popped first
+            t = d.delta[q][a]
+            if t in live:
+                stack.append((t, prefix + d.alphabet[a]))
+    return words
+
 def equivalent(x: Dfa, y: Dfa) -> bool:
     """Language equality, via canonical minimization."""
     return minimize(x) == minimize(y)

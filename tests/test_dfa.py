@@ -17,6 +17,7 @@ from hierarchy_one.lang import (
     is_empty,
     is_permutation_automaton,
     minimize,
+    words_of_length,
 )
 from tests.conftest import random_minimal_dfa, words_up_to
 from tests.test_patterns import brute_match, random_ast
@@ -263,6 +264,33 @@ def test_includes_matches_the_difference_product():
     with pytest.raises(AlphabetError, match="alphabet mismatch"):
         includes(compile_dfa("a", "ab"), compile_dfa("a", "a"))
 
+
+def test_words_of_length_matches_brute_force():
+    rng = random.Random(2718)
+    for i in range(300):
+        letters = "abc"[: 1 + i % 3]
+        d = random_minimal_dfa(rng, max_states=8, letters=letters)
+        for length in range(6):
+            # words_up_to lists each length in alphabet order
+            brute = [w for w in words_up_to(letters, length) if len(w) == length and d.accepts(w)]
+            for limit in {0, 1, max(0, len(brute) - 1), len(brute), len(brute) + 1}:
+                assert words_of_length(d, length, limit) == brute[:limit], (d, length, limit)
+
+
+def test_words_of_length_starts_at_the_inclusion_counterexample():
+    rng = random.Random(3141)
+    found = 0
+    for i in range(400):
+        letters = "abc"[: 1 + i % 3]
+        inner = random_minimal_dfa(rng, max_states=8, letters=letters)
+        outer = random_minimal_dfa(rng, max_states=8, letters=letters)
+        ok, gap = includes(outer, inner)
+        if not ok:
+            difference = combine(inner, outer, "difference")
+            assert words_of_length(difference, len(gap), 1) == [gap]
+            assert words_of_length(difference, len(gap), 1000)[0] == gap
+            found += 1
+    assert found > 100
 
 # --- permutation automata ----------------------------------------------------
 
