@@ -130,7 +130,8 @@ def pgcov_cover(
     word of length |w|. So the greedy choice takes every uncovered word of
     the shortest uncovered length, in alphabet order, before any longer
     one: the loop runs once per length layer, listing the layer's words in
-    one search and merging their up-arrows in one union."""
+    one search and merging their up-arrows into the covered language in
+    balanced trees of `_MERGE_WIDTH`."""
     budget = max_bases if max_bases is not None else DEFAULT_COVER_BUDGET
     h_min = minimize(h_dfa)
     l_min = minimize(l_dfa)

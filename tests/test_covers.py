@@ -100,7 +100,6 @@ def loop_pgcov_cover(
     return CoverResult(entries=tuple(entries), certified=certified)
 
 
-
 def loop_guarded_decomposition(m: SyntacticMorphism, word: str) -> GuardedDecomposition:
     """Split `word` into blocks glued by idempotent links.
 
