@@ -229,12 +229,24 @@ def _scan(table: np.ndarray, rows: np.ndarray, reverse: bool = False) -> np.ndar
 
 
 def block_images(m: SyntacticMorphism, words: Sequence[str]) -> np.ndarray:
-    """α of each word, as an int32 array: one padded batch reduction, each
-    word's letter images in a row filled up with the identity."""
+    """α of each word, as an int32 array: padded batch reductions, each
+    word's letter images in a row filled up with the identity. A batch takes
+    consecutive words up to `_CHUNK_LETTERS` padded letters (or one longer
+    word), so memory follows the longest word, not their number."""
     lengths = np.fromiter(map(len, words), dtype=np.int64, count=len(words))
-    rows = np.full((len(words), int(lengths.max(initial=1))), m.identity, dtype=np.int32)
-    rows[np.arange(rows.shape[1]) < lengths[:, None]] = _letter_images(m, "".join(words))
-    return _reduce(m.table, rows)
+    images = np.empty(len(words), dtype=np.int32)
+    lo = 0
+    while lo < len(words):
+        # padded size of the batch words[lo:lo + i + 1]; it grows with i
+        widths = np.maximum.accumulate(np.maximum(lengths[lo:lo + _CHUNK_LETTERS], 1))
+        count = max(1, int((widths * np.arange(1, len(widths) + 1) <= _CHUNK_LETTERS).sum()))
+        hi = lo + count
+        rows = np.full((count, int(widths[count - 1])), m.identity, dtype=np.int32)
+        rows[np.arange(rows.shape[1]) < lengths[lo:hi, None]] = _letter_images(
+            m, "".join(words[lo:hi]))
+        images[lo:hi] = _reduce(m.table, rows)
+        lo = hi
+    return images
 
 
 @dataclass(frozen=True)

@@ -153,26 +153,33 @@ def check_pol_group(m: SyntacticMorphism, order: OrderRelation, rel: PairRelatio
 
 
 def check_pol_group_plus(m: SyntacticMorphism, order: OrderRelation, rel: PairRelation) -> Verdict:
-    """POLGP: e ≤ e s e for every idempotent e of S and pair (1, s)."""
+    """POLGP: e ≤ e s e for every idempotent e of S and pair (1, s), as one
+    [e, s] block split along e past _ENTRY_CAP entries: a block's first
+    entry in C order is the first violation of the e, then s, sweep."""
     table = np.asarray(m.table)
     one = m.identity
     candidates = np.nonzero(rel.matrix[one])[0]
-    for e in m.idempotents_s:
-        rhs = table[table[e, candidates], e]     # e s e for every candidate s
-        bad = np.nonzero(~order.matrix[e, rhs])[0]
-        if len(bad):
-            s = int(candidates[bad[0]])
+    idem = np.asarray(m.idempotents_s, dtype=np.intp)
+    step = max(1, _ENTRY_CAP // max(1, len(candidates)))
+    for lo in range(0, len(idem), step):
+        block = idem[lo:lo + step]
+        rhs = table[table[block][:, candidates], block[:, None]]     # [e, s] -> e s e
+        bad = ~order.matrix[block[:, None], rhs]
+        if bad.any():
+            i, j = divmod(int(bad.argmax()), bad.shape[1])
+            e, s = int(block[i]), int(candidates[j])
             _, v = _pair_words(m, rel, one, s)
             return Verdict(False, EQ_POLGP, ViolationWitness(
                 elements={"e": e, "s": s},
                 words={"e": m.witness[e], "s": v},
                 lhs=e,
-                rhs=int(rhs[bad[0]]),
+                rhs=int(rhs[i, j]),
             ))
     return Verdict(True, EQ_POLGP)
 
 
-# Entries of a class sweep unit or a KNAST block: temporaries of a few tens of MB.
+# Entries of a class sweep unit or a KNAST or POLGP block: temporaries of a
+# few tens of MB.
 _ENTRY_CAP = 1 << 20
 
 # Sweeps of at most this many entries are read off whole: filtering one by
@@ -398,7 +405,7 @@ def _check_grbpol(m: SyntacticMorphism) -> Verdict:
     omega = _omega_all(m)
     diag = table[np.arange(m.element_count), np.arange(m.element_count)]
     idem = np.nonzero(diag == np.arange(m.element_count))[0]
-    prod = table[np.ix_(idem, idem)]
+    prod = table[idem][:, idem]
     lhs = omega[prod]
     rhs = lhs.T
     bad = np.argwhere(lhs != rhs)

@@ -8,6 +8,7 @@ is a transformation of the state set, named by a shortest witness word.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Optional
 
 import numpy as np
@@ -62,11 +63,16 @@ class SyntacticMorphism:
 def transition_monoid(d: Dfa, element_budget: Optional[int] = None) -> SyntacticMorphism:
     """Generate the transition monoid of `d` by BFS over transformations.
 
-    The BFS keeps its right Cayley graph `right[x, a]` = x·a and each
-    element's parent and last letter; the table is then filled column by
-    column in BFS order, x·y = (x·parent(y))·letter(y): |M| gathers of
-    length |M|, |M|² × 4 bytes (Froidure & Pin, "Algorithms for computing
-    finite semigroups", 1997).
+    Elements are state maps, tuples of length n = |Q|, numbered in the
+    order one `explore` BFS discovers them from the identity; the image of
+    x under letter a is one C-level gather, `itemgetter(*x)(a's map)`, so a
+    node costs |A| calls, not |A|·n Python steps. The BFS keeps its right
+    Cayley graph `right[x, a]` = x·a, and the first edge reaching an element
+    gives its parent and last letter (its witness is the parent's plus that
+    letter: shortest, ties in alphabet order). The table is then filled
+    column by column in BFS order, x·y = (x·parent(y))·letter(y): |M|
+    gathers of length |M|, |M|² × 4 bytes (Froidure & Pin, "Algorithms for
+    computing finite semigroups", 1997).
 
     Raises BudgetError when the monoid would exceed the element budget
     (default 20000, overridable via HIERARCHY_ONE_BUDGET).
@@ -76,10 +82,16 @@ def transition_monoid(d: Dfa, element_budget: Optional[int] = None) -> Syntactic
     letters = d.alphabet
     letter_vec = [tuple(d.delta[q][a] for q in range(n)) for a in range(len(letters))]
 
-    vectors, right = explore(
-        tuple(range(n)),
-        lambda vec: [tuple(lv[q] for q in vec) for lv in letter_vec],
-        budget, stage=f"monoid BFS: DFA with {n} states", unit="element")
+    def successors(vec: tuple[int, ...]) -> list[tuple[int, ...]]:
+        if n == 1:
+            # itemgetter of one index returns the item, not a 1-tuple; the
+            # one state of a complete DFA is fixed by every letter.
+            return [vec] * len(letter_vec)
+        get = itemgetter(*vec)
+        return [get(lv) for lv in letter_vec]
+
+    vectors, right = explore(tuple(range(n)), successors, budget,
+                             stage=f"monoid BFS: DFA with {n} states", unit="element")
     # The first edge of the Cayley graph reaching an element discovered it.
     witnesses = [""] * len(vectors)
     parent = [0] * len(vectors)
@@ -131,7 +143,12 @@ class OrderRelation:
 
 def syntactic_preorder(m: SyntacticMorphism) -> OrderRelation:
     """Greatest relation with s∈F ⇒ t∈F that is closed under translation
-    by the letter generators on either side; equals the context definition."""
+    by the letter generators on either side; equals the context definition.
+
+    Each round intersects leq with its translates leq[g·s, g·t] and
+    leq[s·g, t·g] for every generator g, each gathered rows first and then
+    columns, `leq[left][:, left]`: two passes over |M|² bytes that read
+    whole rows, where one 2-D fancy gather reads entry by entry."""
     n = m.element_count
     acc = np.zeros(n, dtype=bool)
     acc[sorted(m.accepting)] = True
@@ -142,7 +159,7 @@ def syntactic_preorder(m: SyntacticMorphism) -> OrderRelation:
         for g in gens:
             left = np.asarray(m.table[g, :])
             right = np.asarray(m.table[:, g])
-            leq = leq & leq[np.ix_(left, left)] & leq[np.ix_(right, right)]
+            leq = leq & leq[left][:, left] & leq[right][:, right]
         if np.array_equal(prev, leq):
             return OrderRelation(matrix=leq)
 

@@ -455,14 +455,20 @@ def test_array_decomposition_matches_the_level_loop(morphism_corpus):
             assert got.verify(m, word)
 
 
-def test_block_images_match_evaluate_word_by_word(morphism_corpus):
+def test_block_images_match_evaluate_word_by_word(morphism_corpus, monkeypatch):
     rng = random.Random(97531)
     for _, m in morphism_corpus[:40]:
         letters = sorted(m.letter_image)
         words = ["", *("".join(rng.choices(letters, k=rng.randint(0, 40))) for _ in range(12))]
-        got = block_images(m, words)
-        assert got.dtype == np.int32
-        assert got.tolist() == [m.evaluate(w) for w in words]
+        expected = [m.evaluate(w) for w in words]
+        # small chunks split the words into many batches, and some words
+        # are longer than a whole chunk
+        for chunk in (covers._CHUNK_LETTERS, 1, 16, 45):
+            with monkeypatch.context() as patch:
+                patch.setattr(covers, "_CHUNK_LETTERS", chunk)
+                got = block_images(m, words)
+            assert got.dtype == np.int32
+            assert got.tolist() == expected
         assert block_images(m, [""]).tolist() == [m.identity]
         assert block_images(m, []).tolist() == []
     with pytest.raises(KeyError):
@@ -484,3 +490,20 @@ def test_long_decomposition_stays_within_its_memory_budget():
         tracemalloc.stop()
     assert len(decomposition.blocks) == 42  # 40 000 // (31² + 1) levels and the head
     assert peak < 96 * covers._CHUNK_LETTERS
+
+
+@pytest.mark.parametrize("k", [2, 4])
+def test_long_verify_stays_within_its_memory_budget(k):
+    # verify reduces the blocks in batches of at most _CHUNK_LETTERS padded
+    # letters; all blocks of this word in one batch take 0.75 MB, about 19
+    # bytes per letter, and would fail the budget
+    m = _ladder(k)
+    word = "".join(random.Random(8642).choices("ab", k=40_000))
+    decomposition = guarded_decomposition(m, word)
+    tracemalloc.start()
+    try:
+        assert decomposition.verify(m, word)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * covers._CHUNK_LETTERS

@@ -20,6 +20,7 @@ from hierarchy_one.membership import (
     EQ_GRBPOL,
     EQ_KNAST,
     EQ_POLC,
+    EQ_POLGP,
     EQ_SIMON,
     EQ_WGONE,
     Report,
@@ -36,7 +37,7 @@ from hierarchy_one.membership import (
     verify_witness,
 )
 from hierarchy_one.monoid import syntactic_preorder, transition_monoid
-from hierarchy_one.pairs import explicit_pairs, group_from_dict, mod_pairs, st_pairs
+from hierarchy_one.pairs import amt_pairs, explicit_pairs, group_from_dict, mod_pairs, st_pairs
 from tests.conftest import GOLDEN_VERDICTS
 from tests.test_monoid import hand_transition_monoid
 
@@ -285,6 +286,58 @@ def test_pol_group_plus_first_violation_matches_the_pair_loop(morphism_corpus):
                 assert verify_witness(m, verdict, order=order)
                 refuted += 1
     assert refuted > 100
+
+
+def per_e_pol_group_plus(m, order, rel):
+    """POLGP swept one idempotent e at a time, all candidates s in one gather
+    each: the form the [e, s] block replaced, kept as its oracle."""
+    table = np.asarray(m.table)
+    one = m.identity
+    candidates = np.nonzero(rel.matrix[one])[0]
+    for e in m.idempotents_s:
+        rhs = table[table[e, candidates], e]     # e s e for every candidate s
+        bad = np.nonzero(~order.matrix[e, rhs])[0]
+        if len(bad):
+            s = int(candidates[bad[0]])
+            _, v = membership._pair_words(m, rel, one, s)
+            return Verdict(False, EQ_POLGP, ViolationWitness(
+                elements={"e": e, "s": s},
+                words={"e": m.witness[e], "s": v},
+                lhs=e,
+                rhs=int(rhs[bad[0]]),
+            ))
+    return Verdict(True, EQ_POLGP)
+
+
+def test_pol_group_plus_verdict_matches_the_per_e_loop(morphism_corpus, monkeypatch):
+    # whole Verdicts, witness words included, over ST, MOD and AMT pairs,
+    # AMT on a slice since an AMT witness runs a group BFS of ~0.1 s; an
+    # entry cap of 2|M| splits each block into rows of two or more e
+    refuted = 0
+    for i, (_, m) in enumerate(morphism_corpus):
+        order = syntactic_preorder(m)
+        for rel in (st_pairs(m), mod_pairs(m), *([amt_pairs(m)] if i < 40 else [])):
+            expected = per_e_pol_group_plus(m, order, rel)
+            assert check_pol_group_plus(m, order, rel) == expected
+            with monkeypatch.context() as patch:
+                patch.setattr(membership, "_ENTRY_CAP", 2 * m.element_count)
+                assert check_pol_group_plus(m, order, rel) == expected
+            refuted += not expected.member
+    assert refuted > 100
+
+
+def test_pol_group_plus_verdict_matches_the_per_e_loop_on_ladders():
+    # e s e = e on the ladders (the last k letters decide the image), so
+    # every relation is a full sweep of |E(S)| = (|M| + 1) / 2 rows
+    rng = random.Random(1123)
+    for k in range(2, 9):
+        m = nth_letter_from_end(k)
+        order = syntactic_preorder(m)
+        n = m.element_count
+        for rel in (st_pairs(m), mod_pairs(m),
+                    explicit_pairs(m, [(m.identity, s) for s in range(n) if rng.random() < 0.5])):
+            verdict = check_pol_group_plus(m, order, rel)
+            assert verdict == per_e_pol_group_plus(m, order, rel) == Verdict(True, EQ_POLGP)
 
 
 def loop_wgone(m, rel):

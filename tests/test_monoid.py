@@ -2,12 +2,13 @@
 
 import itertools
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from hierarchy_one.errors import BudgetError
-from hierarchy_one.lang import compile_dfa, minimize
+from hierarchy_one.lang import Dfa, compile_dfa, minimize
 from hierarchy_one.monoid import (
     is_group,
     preorder_context_scan,
@@ -82,6 +83,26 @@ def test_table_matches_hand_composition_on_random_dfas():
         ids = np.arange(m.element_count)
         assert (t[m.identity, :] == ids).all() and (t[:, m.identity] == ids).all()
         assert np.array_equal(t[t, :], t[:, t])  # (xy)z == x(yz)
+
+
+@pytest.mark.parametrize("dfa", [
+    minimize(compile_dfa("(a|b)*", "ab")),
+    minimize(compile_dfa("%", "ab")),
+    Dfa(alphabet=(), states=1, initial=0, finals=frozenset({0}), delta=((),)),
+], ids=["all-words", "empty-language", "empty-alphabet"])
+def test_single_state_dfas_have_the_trivial_monoid(dfa):
+    # with one state, a letter's map is (0,), and the BFS must still see
+    # the identity again under every letter
+    assert dfa.states == 1
+    index, words, table = hand_transition_monoid(dfa)
+    m = transition_monoid(dfa)
+    assert m.element_count == len(index) == 1
+    assert list(m.witness) == words == [""]
+    assert m.table.tolist() == table == [[0]]
+    assert m.letter_image == {a: 0 for a in dfa.alphabet}
+    assert m.nonempty_image == (frozenset({0}) if dfa.alphabet else frozenset())
+    assert m.idempotents_s == ((0,) if dfa.alphabet else ())
+    assert m.accepting == (frozenset({0}) if dfa.finals else frozenset())
 
 
 def test_monoid_sizes_for_named_languages():
@@ -167,6 +188,28 @@ def test_preorder_agrees_with_full_context_scan(morphism_corpus):
         rng.shuffle(contexts)
         slow = preorder_context_scan(m, context_order=contexts)
         assert np.array_equal(fast.matrix, slow.matrix)
+
+
+@pytest.mark.parametrize("k", [2, 3, 4, 5])
+def test_preorder_agrees_with_full_context_scan_on_ladders(k):
+    m = transition_monoid(ladder_dfa(k))
+    assert m.element_count == 2 ** (k + 1) - 1
+    assert np.array_equal(syntactic_preorder(m).matrix, preorder_context_scan(m).matrix)
+
+
+def test_preorder_stays_within_a_few_tables_of_memory():
+    # a round holds leq, the previous round's leq, a row-gathered copy and
+    # the translates of one generator: about 5.2 |M|² bytes at |M| = 255
+    m = transition_monoid(ladder_dfa(7))
+    n = m.element_count
+    assert n == 255
+    tracemalloc.start()
+    try:
+        syntactic_preorder(m)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 6 * n * n
 
 
 def test_preorder_axioms(morphism_corpus):
