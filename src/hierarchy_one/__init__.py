@@ -67,7 +67,6 @@ from .covers import (
     CoverResult,
     GuardedDecomposition,
     guarded_decomposition,
-    kernel_dfa,
     pgcov_cover,
     up_arrow,
 )

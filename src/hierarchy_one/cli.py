@@ -305,7 +305,6 @@ def _batch_case(payload: dict) -> dict:
                         element_budget=payload.get("_budget"),
                         node_budget=payload.get("_budget"))
         out["member"] = report.member
-        out["certified"] = report.certified
         out["class"] = class_name(report.basis, report.level, report.plus)
         out["report"] = report.to_dict()
     except Exception as exc:  # noqa: BLE001 - workers report, never crash the pool

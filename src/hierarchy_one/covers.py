@@ -19,13 +19,16 @@ from .errors import DEFAULT_STATE_BUDGET, UsageError, budget_from_env
 from .lang.dfa import (
     Dfa,
     combine,
+    empty_dfa,
     explore,
     includes,
     is_permutation_automaton,
     minimize,
     words_of_length,
 )
-from .monoid import SyntacticMorphism, transition_monoid
+# transition_monoid has no caller here; the benchmark tracer
+# (perfbench/spans.py) wraps it in this namespace too.
+from .monoid import SyntacticMorphism, transition_monoid  # noqa: F401
 
 DEFAULT_COVER_BUDGET = 256
 # Up-arrows per balanced union tree; each tree's union then joins the covered
@@ -73,23 +76,6 @@ def up_arrow(l_dfa: Dfa, word: str, state_budget: Optional[int] = None) -> Dfa:
         delta=rows,
     )
     return minimize(raw)
-
-
-def kernel_dfa(l_dfa: Dfa) -> Dfa:
-    """The words acting as the identity on `l_dfa`'s states (for a
-    permutation automaton: the kernel of its transition group)."""
-    m = transition_monoid(l_dfa)
-    delta = tuple(
-        tuple(int(m.table[x, m.letter_image[sym]]) for sym in l_dfa.alphabet)
-        for x in range(m.element_count)
-    )
-    return minimize(Dfa(
-        alphabet=l_dfa.alphabet,
-        states=m.element_count,
-        initial=m.identity,
-        finals=frozenset({m.identity}),
-        delta=delta,
-    ))
 
 
 @dataclass(frozen=True)
@@ -141,8 +127,7 @@ def pgcov_cover(
     if l_min.initial not in l_min.finals:
         raise UsageError("the gap language must contain the empty word")
 
-    covered = Dfa(alphabet=h_min.alphabet, states=1, initial=0,
-                  finals=frozenset(), delta=((0,) * len(h_min.alphabet),))
+    covered = empty_dfa(h_min.alphabet)
     entries: list[tuple[str, Dfa]] = []
     certified = False
     while True:

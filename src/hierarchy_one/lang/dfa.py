@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
+from itertools import chain, repeat
 from typing import Callable, Hashable, Iterable, Mapping, Optional, Union as TyUnion
 
 from ..errors import AlphabetError, BudgetError, DEFAULT_STATE_BUDGET, budget_from_env
@@ -44,7 +45,7 @@ class Dfa:
     def __post_init__(self):
         object.__setattr__(self, "alphabet", tuple(self.alphabet))
         object.__setattr__(self, "finals", frozenset(self.finals))
-        object.__setattr__(self, "delta", tuple(tuple(row) for row in self.delta))
+        object.__setattr__(self, "delta", tuple(map(tuple, self.delta)))
         if tuple(sorted(self.alphabet)) != self.alphabet:
             raise AlphabetError(f"alphabet must be sorted, got {self.alphabet!r}")
         if self.states < 1:
@@ -55,11 +56,17 @@ class Dfa:
             raise ValueError("final state out of range")
         if len(self.delta) != self.states:
             raise ValueError("transition table must have one row per state")
-        for q, row in enumerate(self.delta):
-            if len(row) != len(self.alphabet):
-                raise ValueError(f"state {q}: transition row is not total")
-            if not all(isinstance(t, int) and 0 <= t < self.states for t in row):
-                raise ValueError(f"state {q}: transition target out of range")
+        # The whole table in C-level calls; the row loop runs only to name
+        # the first bad state.
+        flat = tuple(chain.from_iterable(self.delta))
+        if (set(map(len, self.delta)) != {len(self.alphabet)}
+                or not all(map(isinstance, flat, repeat(int)))
+                or (flat and not (min(flat) >= 0 and max(flat) < self.states))):
+            for q, row in enumerate(self.delta):
+                if len(row) != len(self.alphabet):
+                    raise ValueError(f"state {q}: transition row is not total")
+                if not all(isinstance(t, int) and 0 <= t < self.states for t in row):
+                    raise ValueError(f"state {q}: transition target out of range")
 
     def symbol_index(self, symbol: str) -> int:
         try:
@@ -351,31 +358,14 @@ def combine(x: Dfa, y: Dfa, op: str) -> Dfa:
 
 # --- decision helpers ------------------------------------------------------
 
+def empty_dfa(alphabet: tuple[str, ...]) -> Dfa:
+    """The one-state automaton of the empty language over `alphabet`."""
+    return Dfa(alphabet=alphabet, states=1, initial=0, delta=((0,) * len(alphabet),))
+
+
 def is_empty(d: Dfa) -> Optional[str]:
     """Shortest accepted word (alphabet-order tie-break), or None if L = ∅."""
-    if d.initial in d.finals:
-        return ""
-    parent: dict[int, tuple[int, int]] = {}
-    seen = {d.initial}
-    queue = deque([d.initial])
-    while queue:
-        q = queue.popleft()
-        for a in range(len(d.alphabet)):
-            t = d.delta[q][a]
-            if t in seen:
-                continue
-            seen.add(t)
-            parent[t] = (q, a)
-            if t in d.finals:
-                letters = []
-                cur = t
-                while cur in parent:
-                    prev, la = parent[cur]
-                    letters.append(d.alphabet[la])
-                    cur = prev
-                return "".join(reversed(letters))
-            queue.append(t)
-    return None
+    return includes(empty_dfa(d.alphabet), d)[1]
 
 def includes(outer: Dfa, inner: Dfa) -> tuple[bool, Optional[str]]:
     """Does L(outer) ⊇ L(inner)? On failure, the shortest counterexample
@@ -383,8 +373,7 @@ def includes(outer: Dfa, inner: Dfa) -> tuple[bool, Optional[str]]:
 
     A breadth-first search over pairs (inner state, outer state), letters in
     alphabet order, that stops at the first pair final in inner only: the
-    same word `is_empty(combine(inner, outer, "difference"))` returns,
-    without building the product."""
+    shortest word of the difference, without building the product."""
     if inner.alphabet != outer.alphabet:
         raise AlphabetError(
             f"alphabet mismatch: {inner.alphabet!r} vs {outer.alphabet!r}"

@@ -185,11 +185,14 @@ def preorder_context_scan(m: SyntacticMorphism, context_order: Optional[list[tup
 @dataclass(frozen=True)
 class StableInfo:
     """Image sets by word length: sets[l] = α(Aˡ) for l < n0 + p, with
-    sets[l + p] = sets[l] for all l ≥ n0; (n0, p) minimal."""
+    sets[l + p] = sets[l] for all l ≥ n0; (n0, p) minimal. words[l] maps
+    each element of sets[l] to a word of length l: elements in index order,
+    letters in alphabet order, first word found wins."""
 
     sets: tuple[frozenset[int], ...]
     threshold: int
     period: int
+    words: tuple[dict[int, str], ...]
 
     def at_length(self, length: int) -> frozenset[int]:
         if length < len(self.sets):
@@ -198,18 +201,26 @@ class StableInfo:
 
 
 def stable_sequence(m: SyntacticMorphism) -> StableInfo:
-    gens = sorted(set(m.letter_image.values()))
-    current = frozenset({m.identity})
-    seen = {current: 0}
-    seq = [current]
-    while True:
-        current = frozenset(int(m.table[t, g]) for t in current for g in gens)
-        if current in seen:
-            n0 = seen[current]
-            period = len(seq) - n0
-            return StableInfo(sets=tuple(seq), threshold=n0, period=period)
-        seen[current] = len(seq)
-        seq.append(current)
+    """Walk the layers α(Aˡ) until one repeats, naming each new element by
+    the first product found: layer elements in index order, letters in
+    alphabet order."""
+    letters = sorted(m.letter_image)
+    right = m.table[:, [m.letter_image[a] for a in letters]].tolist()
+    layer = {m.identity: ""}
+    seen: dict[frozenset[int], int] = {}
+    words: list[dict[int, str]] = []
+    while (current := frozenset(layer)) not in seen:
+        seen[current] = len(words)
+        words.append(layer)
+        nxt: dict[int, str] = {}
+        for e in sorted(layer):
+            for a, z in zip(letters, right[e]):
+                if z not in nxt:
+                    nxt[z] = layer[e] + a
+        layer = nxt
+    n0 = seen[current]
+    return StableInfo(sets=tuple(map(frozenset, words)), threshold=n0,
+                      period=len(words) - n0, words=tuple(words))
 
 
 def is_group(m: SyntacticMorphism) -> bool:
@@ -220,23 +231,6 @@ def is_group(m: SyntacticMorphism) -> bool:
         if len(inv) == 0 or m.table[int(inv[0]), x] != m.identity:
             return False
     return True
-
-
-def words_by_length(m: SyntacticMorphism, max_length: int) -> list[dict[int, str]]:
-    """For each length l ≤ max_length, a word of length l per reachable element
-    (deterministic: elements in index order, letters in alphabet order)."""
-    letters = sorted(m.letter_image)
-    layers = [{m.identity: ""}]
-    for _ in range(max_length):
-        cur = layers[-1]
-        nxt: dict[int, str] = {}
-        for e in sorted(cur):
-            for a in letters:
-                z = int(m.table[e, m.letter_image[a]])
-                if z not in nxt:
-                    nxt[z] = cur[e] + a
-        layers.append(nxt)
-    return layers
 
 
 def monoid_to_dict(m: SyntacticMorphism, order: Optional[OrderRelation] = None) -> dict:

@@ -31,7 +31,8 @@ from typing import Callable, Iterable, Iterator, Mapping, Optional
 import numpy as np
 
 from .errors import AlphabetError, BudgetError, DEFAULT_GROUP_NODE_BUDGET, budget_from_env
-from .monoid import SyntacticMorphism, stable_sequence, words_by_length
+from .lang.dfa import explore
+from .monoid import SyntacticMorphism, stable_sequence
 
 BASIS_ST = "ST"
 BASIS_MOD = "MOD"
@@ -135,29 +136,30 @@ class GroupPresentation:
 
 
 def _validate_group_table(table: np.ndarray) -> int:
-    """Check a finite multiplication table is a group; return the identity."""
+    """Check a finite multiplication table is a group; return the identity.
+
+    Associativity by Light's test over a generating set (Clifford & Preston
+    1961, §1.2): the middles g with (x·g)·y = x·(g·y) for all x, y are closed
+    under products, so checking the generators suffices. They are grown
+    greedily, the least element not yet reached each time, until a BFS of
+    their left-normed products from the identity reaches every element;
+    each generator costs two n² gathers."""
     n = table.shape[0]
     if table.shape != (n, n):
         raise ValueError("group table must be square")
     if table.min() < 0 or table.max() >= n:
         raise ValueError("group table entries out of range")
-    identity = None
-    for e in range(n):
-        if all(table[e, x] == x == table[x, e] for x in range(n)):
-            identity = e
-            break
-    if identity is None:
+    ids = np.arange(n)
+    units = np.flatnonzero((table == ids).all(axis=1) & (table.T == ids).all(axis=1))
+    if len(units) == 0:
         raise ValueError("group table has no identity element")
-    # associativity: (x·y)·z == x·(y·z); full check is n³, fine at file scale
-    if n <= 256:
-        left = table[table, :]   # left[x,y,z] = (x·y)·z
-        right = table[:, table]  # right[x,y,z] = x·(y·z)
-        if not np.array_equal(left, right):
-            raise ValueError("group table is not associative")
-    else:
-        rng = np.random.default_rng(0)
-        xs, ys, zs = rng.integers(0, n, size=(3, 20000))
-        if not np.array_equal(table[table[xs, ys], zs], table[xs, table[ys, zs]]):
+    identity = int(units[0])
+    reached, generators = [identity], []
+    while len(reached) < n:
+        generators.append(min(set(range(n)).difference(reached)))
+        reached, _ = explore(identity, table[:, generators].tolist().__getitem__)
+    for g in generators:
+        if not np.array_equal(table[table[:, g]], table[:, table[g]]):
             raise ValueError("group table is not associative")
     for x in range(n):
         inverses = np.nonzero(table[x, :] == identity)[0]
@@ -369,26 +371,38 @@ def mod_pairs(m: SyntacticMorphism) -> PairRelation:
     """Pairs not separable by word length modulo any fixed number.
 
     (s, t) qualifies iff s ∈ T_i and t ∈ T_j for lengths i, j below
-    n0 + 2p with i ≡ j (mod p) and (i = j or max(i, j) ≥ n0), where T is the
-    stable sequence with threshold n0 and period p."""
+    n0 + p with i ≡ j (mod p) and (i = j or max(i, j) ≥ n0), where T is the
+    stable sequence with threshold n0 and period p: a longer length i has
+    T_i = T_{i−p}, and i − p pairs with every j that i does.
+
+    With at[i, s] for s ∈ T_i and C the congruent length pairs, reach = C·at
+    tells for each [i, t] whether t lies in a layer congruent to i, and row
+    s of the relation is the OR of reach[i] over the i with s ∈ T_i. The
+    witness of (s, t) is the words of s and t at the first such (i, j) in
+    row-major order, found for a whole row s at once, the first time the
+    row is asked about, and kept."""
     info = stable_sequence(m)
     n0, p = info.threshold, info.period
-    window = n0 + 2 * p
-    n = m.element_count
-    sets = [sorted(info.at_length(i)) for i in range(window)]
-    congruent = [(i, j) for i in range(window) for j in range(window)
-                 if (i - j) % p == 0 and (i == j or max(i, j) >= n0)]
-    pick = np.full((n, n, 2), -1, dtype=np.int32)
-    # walked backwards, so the first congruent pair in window order writes last
-    for i, j in reversed(congruent):
-        pick[np.ix_(sets[i], sets[j])] = (i, j)
-    matrix = pick[..., 0] >= 0
-    layers = words_by_length(m, window - 1)
-    return PairRelation(
-        basis=BASIS_MOD,
-        matrix=matrix,
-        _witness=lambda s, t: (layers[pick[s, t, 0]][s], layers[pick[s, t, 1]][t]),
-    )
+    window = len(info.sets)
+    at = np.zeros((window, m.element_count), dtype=bool)
+    for i, layer in enumerate(info.sets):
+        at[i, list(layer)] = True
+    row, col = np.indices((window, window))
+    congruent = ((row - col) % p == 0) & ((row == col) | (np.maximum(row, col) >= n0))
+    reach = congruent @ at
+    matrix = np.zeros((m.element_count,) * 2, dtype=bool)
+    for i in range(window):
+        matrix[at[i]] |= reach[i]
+    first: dict[int, tuple[list[int], list[int]]] = {}  # s -> (i per t, j per t)
+
+    def witness(s: int, t: int) -> tuple[str, str]:
+        if s not in first:
+            hit = np.flatnonzero(at[:, s])
+            i = hit[reach[hit].argmax(axis=0)]
+            first[s] = (i.tolist(), (congruent[i] & at.T).argmax(axis=1).tolist())
+        return info.words[first[s][0][t]][s], info.words[first[s][1][t]][t]
+
+    return PairRelation(basis=BASIS_MOD, matrix=matrix, _witness=witness)
 
 
 def _feasible_lcm(count: int, n_letters: int, n_m: int, budget: int) -> tuple[int, int]:

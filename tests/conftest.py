@@ -47,6 +47,24 @@ def random_permutation_dfa(rng, max_states=3, letters="ab", force_epsilon=True):
                finals=frozenset(finals), delta=delta)
 
 
+def kernel_dfa(l_dfa):
+    """The words acting as the identity on `l_dfa`'s states (for a
+    permutation automaton: the kernel of its transition group); the cover
+    tests check with it that the chosen bases form an antichain."""
+    m = transition_monoid(l_dfa)
+    delta = tuple(
+        tuple(int(m.table[x, m.letter_image[sym]]) for sym in l_dfa.alphabet)
+        for x in range(m.element_count)
+    )
+    return minimize(Dfa(
+        alphabet=l_dfa.alphabet,
+        states=m.element_count,
+        initial=m.identity,
+        finals=frozenset({m.identity}),
+        delta=delta,
+    ))
+
+
 def words_up_to(alphabet, max_len):
     """Every word over `alphabet` of length ≤ max_len, shortest first."""
     layer = [""]

@@ -13,7 +13,6 @@ import numpy as np
 from hierarchy_one.cli import main as cli_main
 from hierarchy_one.covers import (
     guarded_decomposition,
-    kernel_dfa,
     pgcov_cover,
     up_arrow,
 )
@@ -40,6 +39,7 @@ from hierarchy_one.pairs import (
 )
 from tests.conftest import (
     GOLDEN_VERDICTS,
+    kernel_dfa,
     random_minimal_dfa,
     random_permutation_dfa,
 )

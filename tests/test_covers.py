@@ -15,7 +15,6 @@ from hierarchy_one.covers import (
     GuardedDecomposition,
     block_images,
     guarded_decomposition,
-    kernel_dfa,
     pgcov_cover,
     up_arrow,
 )
@@ -31,6 +30,7 @@ from hierarchy_one.lang import (
 )
 from hierarchy_one.monoid import SyntacticMorphism, transition_monoid
 from tests.conftest import (
+    kernel_dfa,
     random_minimal_dfa,
     random_permutation_dfa,
     words_up_to,
@@ -201,7 +201,7 @@ def test_up_arrow_budget_error_names_stage_and_size():
         up_arrow(even_a, "ab" * 40, state_budget=16)
 
 
-# --- kernel --------------------------------------------------------------------
+# --- kernel (the antichain oracle of the cover tests) --------------------------
 
 
 def test_kernel_words_act_as_the_identity():

@@ -248,6 +248,31 @@ def test_includes_reports_shortest_counterexample():
     assert includes(compile_dfa("(a|b)*", "ab"), inner) == (True, None)
 
 
+def bfs_shortest_word(d):
+    """Reference emptiness check: BFS from the initial state, letters in
+    alphabet order, stopping at the first final state."""
+    if d.initial in d.finals:
+        return ""
+    parent = {}
+    seen = {d.initial}
+    queue = [d.initial]
+    for q in queue:
+        for a in range(len(d.alphabet)):
+            t = d.delta[q][a]
+            if t in seen:
+                continue
+            seen.add(t)
+            parent[t] = (q, a)
+            if t in d.finals:
+                letters = []
+                while t in parent:
+                    t, la = parent[t]
+                    letters.append(d.alphabet[la])
+                return "".join(reversed(letters))
+            queue.append(t)
+    return None
+
+
 def test_includes_matches_the_difference_product():
     rng = random.Random(1618)
     outcomes = {True: 0, False: 0}
@@ -257,7 +282,9 @@ def test_includes_matches_the_difference_product():
         outer = random_minimal_dfa(rng, max_states=8, letters=letters)
         if i % 2:
             outer = combine(outer, inner, "union")
-        gap = is_empty(combine(inner, outer, "difference"))
+        difference = combine(inner, outer, "difference")
+        gap = bfs_shortest_word(difference)
+        assert is_empty(difference) == gap
         assert includes(outer, inner) == (gap is None, gap)
         outcomes[gap is None] += 1
     assert min(outcomes.values()) > 500
@@ -300,6 +327,22 @@ def test_permutation_automaton_detection():
     assert is_permutation_automaton(minimize(compile_dfa("(b|ab*a)*", "ab")))
     assert not is_permutation_automaton(minimize(compile_dfa("(ab)*", "ab")))
     assert not is_permutation_automaton(minimize(compile_dfa("a", "ab")))
+
+
+# --- construction ------------------------------------------------------------
+
+
+@pytest.mark.parametrize("delta, message", [
+    (((0, 1), (1,)), "state 1: transition row is not total"),
+    (((0, 1), (-1, 0)), "state 1: transition target out of range"),
+    (((0, 2), (1, 0)), "state 0: transition target out of range"),
+    (((0, 1), (1, "0")), "state 1: transition target out of range"),
+    (((0, 1.0), (1, 0)), "state 0: transition target out of range"),
+    (((0, 5), (1,)), "state 0: transition target out of range"),
+], ids=["ragged", "negative", "past-states", "str", "float", "first-row-named"])
+def test_constructor_names_the_first_bad_state(delta, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        Dfa(alphabet=("a", "b"), states=2, initial=0, delta=delta)
 
 
 # --- serialization -----------------------------------------------------------

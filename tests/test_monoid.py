@@ -15,7 +15,6 @@ from hierarchy_one.monoid import (
     stable_sequence,
     syntactic_preorder,
     transition_monoid,
-    words_by_length,
 )
 from tests.conftest import random_minimal_dfa
 
@@ -272,14 +271,15 @@ def test_at_length_matches_direct_enumeration(morphism_corpus):
             layer = {m.mul(e, m.letter_image[a]) for e in layer for a in letters}
 
 
-def test_words_by_length_yields_correct_lengths_and_images():
-    m = transition_monoid(minimize(compile_dfa("(ab)*", "ab")))
-    layers = words_by_length(m, 5)
-    info = stable_sequence(m)
-    for length, layer in enumerate(layers):
-        assert set(layer) == set(info.at_length(length))
-        for e, w in layer.items():
-            assert len(w) == length and m.evaluate(w) == e
+def test_stable_sequence_words_have_their_lengths_and_images(morphism_corpus):
+    ab_star = transition_monoid(minimize(compile_dfa("(ab)*", "ab")))
+    for m in [ab_star] + [m for _, m in morphism_corpus[:40]]:
+        info = stable_sequence(m)
+        assert len(info.words) == len(info.sets) == info.threshold + info.period
+        for length, layer in enumerate(info.words):
+            assert set(layer) == set(info.sets[length])
+            for e, w in layer.items():
+                assert len(w) == length and m.evaluate(w) == e
 
 
 # --- group detection and budget ----------------------------------------------

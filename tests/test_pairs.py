@@ -18,9 +18,11 @@ import pytest
 
 from hierarchy_one.errors import DEFAULT_GROUP_NODE_BUDGET, BudgetError, budget_from_env
 from hierarchy_one.lang import Dfa, compile_dfa, minimize
-from hierarchy_one.monoid import stable_sequence, transition_monoid, words_by_length
+from hierarchy_one.monoid import stable_sequence, transition_monoid
 from hierarchy_one.pairs import (
     BASIS_AMT,
+    BASIS_MOD,
+    PairRelation,
     _coset_join,
     _feasible_lcm,
     _group_join,
@@ -129,6 +131,65 @@ def test_mod_pairs_match_cyclic_group_intersection():
         assert np.array_equal(mod_pairs(m).matrix, oracle)
 
 
+def words_by_length(m, max_length):
+    """For each length l ≤ max_length, a word of length l per reachable element
+    (elements in index order, letters in alphabet order, first word wins)."""
+    letters = sorted(m.letter_image)
+    layers = [{m.identity: ""}]
+    for _ in range(max_length):
+        cur = layers[-1]
+        nxt = {}
+        for e in sorted(cur):
+            for a in letters:
+                z = int(m.table[e, m.letter_image[a]])
+                if z not in nxt:
+                    nxt[z] = cur[e] + a
+        layers.append(nxt)
+    return layers
+
+
+def pick_mod_pairs(m):
+    """Reference MOD relation over the window n0 + 2p: one scatter per
+    congruent length pair into an |M|×|M|×2 table of the first (i, j)."""
+    info = stable_sequence(m)
+    n0, p = info.threshold, info.period
+    window = n0 + 2 * p
+    n = m.element_count
+    sets = [sorted(info.at_length(i)) for i in range(window)]
+    congruent = [(i, j) for i in range(window) for j in range(window)
+                 if (i - j) % p == 0 and (i == j or max(i, j) >= n0)]
+    pick = np.full((n, n, 2), -1, dtype=np.int32)
+    # walked backwards, so the first congruent pair in window order writes last
+    for i, j in reversed(congruent):
+        pick[np.ix_(sets[i], sets[j])] = (i, j)
+    layers = words_by_length(m, window - 1)
+    return PairRelation(basis=BASIS_MOD, matrix=pick[..., 0] >= 0,
+                        _witness=lambda s, t: (layers[pick[s, t, 0]][s], layers[pick[s, t, 1]][t]))
+
+
+def ladder(k):
+    """(a|b)*a(a|b)^{k-1}: the k-th letter from the end is a; |M| = 2^{k+1} − 1."""
+    return monoid_of("(a|b)*a" + "(a|b)" * (k - 1), "ab")
+
+
+def test_mod_pairs_equal_the_pick_table_oracle(morphism_corpus):
+    for m in [m for _, m in morphism_corpus] + [ladder(k) for k in range(1, 10)]:
+        assert pairs_to_dict(mod_pairs(m)) == pairs_to_dict(pick_mod_pairs(m))
+
+
+def test_mod_pairs_peak_stays_within_two_bytes_per_table_entry():
+    m = ladder(9)
+    n = m.element_count
+    assert n == 1023
+    tracemalloc.start()
+    try:
+        mod_pairs(m)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * n * n
+
+
 # --- alphabet-modular pairs --------------------------------------------------
 
 
@@ -216,6 +277,26 @@ def test_group_loader_rejects_non_associative_tables():
     doc = dict(Z3_DOC, table=[[0, 1, 2], [1, 2, 0], [2, 0, 0]])
     with pytest.raises(ValueError):
         group_from_dict(doc)
+
+
+def test_group_loader_rejects_a_swapped_intercalate_of_z600():
+    # The swap keeps a Latin square with identity 0 and all inverses; only
+    # products through rows 2 and 302 break associativity, which 20 000
+    # sampled triples missed.
+    n = 600
+    table = [[(i + j) % n for j in range(n)] for i in range(n)]
+    doc = {"elements": n, "table": table, "letter_image": {"a": 1}}
+    assert group_from_dict(doc).identity == 0
+    for row in (2, 302):
+        table[row][5], table[row][305] = table[row][305], table[row][5]
+    with pytest.raises(ValueError, match="not associative"):
+        group_from_dict(doc)
+
+
+def test_group_loader_finds_the_identity_anywhere():
+    # Z3 relabelled so that its identity is element 2
+    doc = dict(Z3_DOC, table=[[1, 2, 0], [2, 0, 1], [0, 1, 2]])
+    assert group_from_dict(doc).identity == 2
 
 
 def test_group_loader_rejects_monoids_without_inverses():
