@@ -12,6 +12,7 @@ only for certified covers. Everything else: 0 ok, 2 error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -25,6 +26,7 @@ from .errors import (
     BudgetError,
     PatternError,
     UsageError,
+    positive_budget,
 )
 from .lang.dfa import (
     Dfa,
@@ -37,6 +39,7 @@ from .lang.dfa import (
 from .lang.patterns import normalize_alphabet
 from .membership import BASES, Report, class_name, decide, pair_relation
 from .monoid import (
+    SyntacticMorphism,
     is_group,
     monoid_to_dict,
     stable_sequence,
@@ -62,7 +65,7 @@ def _looks_like_file(text: str) -> bool:
 
 
 def _load_language(text: str, alphabet: Optional[str], base_dir: str = ".",
-                   state_budget: Optional[int] = None) -> Dfa:
+                   budget: Optional[int] = None) -> Dfa:
     """A pattern string (needs --alphabet) or a path to a DFA JSON file."""
     if _looks_like_file(text):
         path = text if os.path.isabs(text) else os.path.join(base_dir, text)
@@ -75,7 +78,7 @@ def _load_language(text: str, alphabet: Optional[str], base_dir: str = ".",
         return d
     if alphabet is None:
         raise UsageError("pattern input needs an explicit --alphabet")
-    return compile_dfa(text, alphabet, state_budget=state_budget)
+    return compile_dfa(text, alphabet, state_budget=budget)
 
 
 def _resolve_basis(text: str, base_dir: str = ".") -> Union[str, GroupPresentation]:
@@ -92,6 +95,12 @@ def _resolve_basis(text: str, base_dir: str = ".") -> Union[str, GroupPresentati
         return group_from_dict(data, name=os.path.splitext(os.path.basename(path))[0])
     raise UsageError(
         f"unknown basis {text!r}: use st, mod, amt, gr, or group:<file.json>")
+
+
+def _morphism(args: argparse.Namespace) -> tuple[Dfa, SyntacticMorphism]:
+    """The minimal DFA of `args.input` and its syntactic morphism."""
+    dfa = minimize(_load_language(args.input, args.alphabet, budget=args.budget))
+    return dfa, transition_monoid(dfa, element_budget=args.budget)
 
 
 def _write_json(path: str, payload: dict) -> None:
@@ -133,20 +142,18 @@ def _print_report(report: Report, show_witness: bool) -> None:
             print(f"    sides evaluate to {w.lhs} vs {w.rhs}")
 
 
+def _decide(text: str, alphabet: Optional[str], basis: str, level: str,
+            plus: bool, budget: Optional[int], base_dir: str = ".") -> Report:
+    """One decide call as the CLI and batch workers make it."""
+    resolved = _resolve_basis(basis, base_dir=base_dir)
+    source = _load_language(text, alphabet, base_dir=base_dir, budget=budget)
+    return decide(source, basis=resolved, level=level, plus=plus, label=text,
+                  budget=budget)
+
+
 def cmd_decide(args: argparse.Namespace) -> int:
-    basis = _resolve_basis(args.basis)
-    source = _load_language(args.input, args.alphabet,
-                            state_budget=args.budget)
-    report = decide(
-        source,
-        basis=basis,
-        level=args.level,
-        plus=args.plus,
-        label=args.input,
-        state_budget=args.budget,
-        element_budget=args.budget,
-        node_budget=args.budget,
-    )
+    report = _decide(args.input, args.alphabet, args.basis, args.level,
+                     args.plus, args.budget)
     _print_report(report, args.witness)
     if args.json:
         _write_json(args.json, report.to_dict())
@@ -158,9 +165,7 @@ def cmd_decide(args: argparse.Namespace) -> int:
 
 
 def cmd_analyze(args: argparse.Namespace) -> int:
-    dfa = minimize(_load_language(args.input, args.alphabet,
-                                  state_budget=args.budget))
-    m = transition_monoid(dfa, element_budget=args.budget)
+    dfa, m = _morphism(args)
     order = syntactic_preorder(m)
     info = stable_sequence(m)
     perm = is_permutation_automaton(dfa)
@@ -191,9 +196,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
 
 def cmd_pairs(args: argparse.Namespace) -> int:
     basis = _resolve_basis(args.basis)
-    dfa = minimize(_load_language(args.input, args.alphabet,
-                                  state_budget=args.budget))
-    m = transition_monoid(dfa, element_budget=args.budget)
+    _, m = _morphism(args)
     rel = pair_relation(m, basis, node_budget=args.budget)
     n = rel.element_count
     print(f"{args.input}: {rel.count} {rel.basis}-pairs over "
@@ -221,8 +224,8 @@ def cmd_pairs(args: argparse.Namespace) -> int:
 def cmd_cover(args: argparse.Namespace) -> int:
     # here --budget caps the number of base words; automaton sizes keep
     # their own defaults (or the environment override)
-    target = minimize(_load_language(args.target, args.alphabet))
-    gaps = minimize(_load_language(args.gaps, args.alphabet))
+    target = _load_language(args.target, args.alphabet)
+    gaps = _load_language(args.gaps, args.alphabet)
     result = pgcov_cover(target, gaps, max_bases=args.budget)
     status = "certified" if result.certified else "PARTIAL (budget hit, not certified)"
     print(f"cover of {args.target} with {args.gaps} gaps: "
@@ -257,9 +260,7 @@ def cmd_cover(args: argparse.Namespace) -> int:
 
 
 def cmd_decompose(args: argparse.Namespace) -> int:
-    dfa = minimize(_load_language(args.input, args.alphabet,
-                                  state_budget=args.budget))
-    m = transition_monoid(dfa, element_budget=args.budget)
+    _, m = _morphism(args)
     decomposition = guarded_decomposition(m, args.word)
     if not decomposition.verify(m, args.word):
         print("internal error: decomposition failed verification", file=sys.stderr)
@@ -288,25 +289,15 @@ def cmd_decompose(args: argparse.Namespace) -> int:
 # batch
 
 
-def _batch_case(payload: dict) -> dict:
+def _batch_case(case: dict, base_dir: str, budget: Optional[int]) -> dict:
     """Worker: run one manifest case; never raises."""
-    out = {"input": payload.get("input"), "error": None, "member": None}
+    out = {"error": None, "member": None}
     try:
-        basis = _resolve_basis(payload.get("basis", "st"),
-                               base_dir=payload.get("_dir", "."))
-        level = payload.get("level", "bpol")
-        plus = bool(payload.get("plus", False))
-        text = payload["input"]
-        source = _load_language(text, payload.get("alphabet"),
-                                base_dir=payload.get("_dir", "."),
-                                state_budget=payload.get("_budget"))
-        report = decide(source, basis=basis, level=level, plus=plus,
-                        label=text, state_budget=payload.get("_budget"),
-                        element_budget=payload.get("_budget"),
-                        node_budget=payload.get("_budget"))
+        report = _decide(case["input"], case.get("alphabet"), case.get("basis", "st"),
+                         case.get("level", "bpol"), bool(case.get("plus", False)),
+                         budget, base_dir=base_dir)
         out["member"] = report.member
         out["class"] = class_name(report.basis, report.level, report.plus)
-        out["report"] = report.to_dict()
     except Exception as exc:  # noqa: BLE001 - workers report, never crash the pool
         out["error"] = f"{type(exc).__name__}: {exc}"
     return out
@@ -318,42 +309,32 @@ def cmd_batch(args: argparse.Namespace) -> int:
     cases = manifest.get("cases")
     if not isinstance(cases, list):
         raise UsageError('manifest must be an object with a "cases" list')
-    base_dir = os.path.dirname(os.path.abspath(args.manifest))
-    payloads = []
     for case in cases:
         if not isinstance(case, dict) or "input" not in case:
             raise UsageError('every case needs at least an "input" field')
-        payload = dict(case)
-        payload["_dir"] = base_dir
-        payload["_budget"] = args.budget
-        payloads.append(payload)
+    run = functools.partial(_batch_case, budget=args.budget,
+                            base_dir=os.path.dirname(os.path.abspath(args.manifest)))
 
     workers = args.workers if args.workers else (os.cpu_count() or 1)
-    if workers > 1 and len(payloads) > 1:
+    if workers > 1 and len(cases) > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_batch_case, payloads))
+            results = list(pool.map(run, cases))
     else:
-        results = [_batch_case(p) for p in payloads]
+        results = [run(case) for case in cases]
 
-    all_ok = True
     rows = []
     for case, result in zip(cases, results):
         expect = case.get("expect")
+        got = "member" if result["member"] else "non-member"
         if result["error"] is not None:
-            status = "ERROR"
-            detail = result["error"]
-            all_ok = False
+            status, detail = "ERROR", result["error"]
         elif expect is None:
-            status = "DONE"
-            detail = "member" if result["member"] else "non-member"
+            status, detail = "DONE", got
         elif bool(expect) == result["member"]:
-            status = "PASS"
-            detail = "member" if result["member"] else "non-member"
+            status, detail = "PASS", got
         else:
             status = "FAIL"
-            detail = (f"expected {'member' if expect else 'non-member'}, "
-                      f"got {'member' if result['member'] else 'non-member'}")
-            all_ok = False
+            detail = f"expected {'member' if expect else 'non-member'}, got {got}"
         rows.append((status, case, result, detail))
 
     width = max((len(str(c.get("input", ""))) for c in cases), default=5)
@@ -362,6 +343,7 @@ def cmd_batch(args: argparse.Namespace) -> int:
         print(f"{status:5}  {str(case['input']):{width}}  {name}  {detail}")
     passed = sum(1 for r in rows if r[0] in ("PASS", "DONE"))
     print(f"{passed}/{len(rows)} cases ok")
+    all_ok = passed == len(rows)
 
     if args.json:
         _write_json(args.json, {
@@ -401,7 +383,10 @@ def _add_common(sub: argparse.ArgumentParser, *, basis: bool = False,
                      f"{BUDGET_ENV_VAR} environment variable)")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: each `parse_args` call
+    still returns a fresh namespace."""
     parser = argparse.ArgumentParser(
         prog="hierarchy-one",
         description="Decide membership of regular languages in the level-one "
@@ -458,12 +443,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return EXIT_ERROR if exc.code else EXIT_OK
     try:
+        if args.budget is not None:
+            positive_budget(args.budget, "--budget")
         return args.func(args)
     except (UsageError, PatternError, AlphabetError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -30,6 +30,13 @@ class UsageError(ValueError):
     """A request combines options that the decision procedures do not support."""
 
 
+def positive_budget(value: int, source: str) -> int:
+    """`value` if it is a usable budget; UsageError naming `source` if not."""
+    if value <= 0:
+        raise UsageError(f"{source} must be positive, got {value}")
+    return value
+
+
 def budget_from_env(default: int) -> int:
     """Resolve a budget: HIERARCHY_ONE_BUDGET overrides `default` when set."""
     raw = os.environ.get(BUDGET_ENV_VAR)
@@ -39,6 +46,4 @@ def budget_from_env(default: int) -> int:
         value = int(raw)
     except ValueError as exc:
         raise UsageError(f"{BUDGET_ENV_VAR} must be an integer, got {raw!r}") from exc
-    if value <= 0:
-        raise UsageError(f"{BUDGET_ENV_VAR} must be positive, got {value}")
-    return value
+    return positive_budget(value, BUDGET_ENV_VAR)

@@ -600,16 +600,16 @@ def decide(
     plus: bool = False,
     *,
     label: Optional[str] = None,
-    state_budget: Optional[int] = None,
-    element_budget: Optional[int] = None,
-    node_budget: Optional[int] = None,
+    budget: Optional[int] = None,
 ) -> Report:
     """Decide membership of a language in Pol/BPol over a group base.
 
     `source` is a pattern (text or AST; requires `alphabet`) or a complete
     DFA. `basis` is "st" | "mod" | "amt" | "gr" or a GroupPresentation.
     GR only supports level="bpol" without plus: every other class needs
-    GR pairs, which `pair_relation` cannot compute.
+    GR pairs, which `pair_relation` cannot compute. `budget`, when given,
+    caps every stage: DFA states, monoid elements and AMT cosets; each
+    stage keeps its own default otherwise.
     """
     t0 = time.perf_counter()
     level = level.lower()
@@ -627,12 +627,12 @@ def decide(
     else:
         if alphabet is None:
             raise UsageError("patterns need an explicit alphabet")
-        dfa = minimize(compile_dfa(source, alphabet, state_budget=state_budget))
+        dfa = minimize(compile_dfa(source, alphabet, state_budget=budget))
         text = label if label is not None else (
             source if isinstance(source, str) else pattern_to_text(source)
         )
 
-    m = transition_monoid(dfa, element_budget=element_budget)
+    m = transition_monoid(dfa, element_budget=budget)
 
     certified = True
     pair_count: Optional[int] = None
@@ -640,7 +640,7 @@ def decide(
         verdict = _check_grbpol(m)
         basis_tag = "GR"
     else:
-        rel = pair_relation(m, basis_key or basis, node_budget=node_budget)
+        rel = pair_relation(m, basis_key or basis, node_budget=budget)
         certified = rel.certified
         pair_count = rel.count
         basis_tag = rel.basis

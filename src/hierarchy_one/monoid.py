@@ -56,9 +56,6 @@ class SyntacticMorphism:
             y = int(self.table[y, x])
         raise AssertionError("no idempotent power found; table is not a monoid")
 
-    def omega_plus_one(self, x: int) -> int:
-        return int(self.table[self.omega(x), x])
-
 
 def transition_monoid(d: Dfa, element_budget: Optional[int] = None) -> SyntacticMorphism:
     """Generate the transition monoid of `d` by BFS over transformations.
@@ -138,7 +135,9 @@ class OrderRelation:
         return bool(self.matrix[s, t])
 
     def row_bits(self) -> list[str]:
-        return ["".join("1" if v else "0" for v in row) for row in self.matrix]
+        n = self.matrix.shape[1]
+        text = (self.matrix.astype(np.uint8) + ord("0")).tobytes().decode("ascii")
+        return [text[i:i + n] for i in range(0, len(text), n)]
 
 
 def syntactic_preorder(m: SyntacticMorphism) -> OrderRelation:
@@ -223,14 +222,20 @@ def stable_sequence(m: SyntacticMorphism) -> StableInfo:
                       period=len(words) - n0, words=tuple(words))
 
 
+def first_without_inverse(table: np.ndarray, identity: int) -> Optional[int]:
+    """The least x of a multiplication table with no y such that
+    x·y = y·x = identity, or None when every element has one. For each x
+    it tests the least y with x·y = identity, over the whole table at once."""
+    hits = table == identity
+    right = hits.argmax(axis=1)
+    ok = hits.any(axis=1) & (table[right, np.arange(len(table))] == identity)
+    missing = np.flatnonzero(~ok)
+    return int(missing[0]) if len(missing) else None
+
+
 def is_group(m: SyntacticMorphism) -> bool:
     """True iff every element has a two-sided inverse."""
-    n = m.element_count
-    for x in range(n):
-        inv = np.nonzero(np.asarray(m.table[x, :]) == m.identity)[0]
-        if len(inv) == 0 or m.table[int(inv[0]), x] != m.identity:
-            return False
-    return True
+    return first_without_inverse(m.table, m.identity) is None
 
 
 def monoid_to_dict(m: SyntacticMorphism, order: Optional[OrderRelation] = None) -> dict:
@@ -241,7 +246,7 @@ def monoid_to_dict(m: SyntacticMorphism, order: Optional[OrderRelation] = None) 
         ],
         "identity": m.identity,
         "letter_image": dict(sorted(m.letter_image.items())),
-        "table": [[int(v) for v in row] for row in m.table],
+        "table": m.table.tolist(),
         "accepting": sorted(m.accepting),
         "nonempty_image": sorted(m.nonempty_image),
         "idempotents": list(m.idempotents_s),

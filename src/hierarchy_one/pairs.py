@@ -32,7 +32,7 @@ import numpy as np
 
 from .errors import AlphabetError, BudgetError, DEFAULT_GROUP_NODE_BUDGET, budget_from_env
 from .lang.dfa import explore
-from .monoid import SyntacticMorphism, stable_sequence
+from .monoid import SyntacticMorphism, first_without_inverse, stable_sequence
 
 BASIS_ST = "ST"
 BASIS_MOD = "MOD"
@@ -68,9 +68,8 @@ class PairRelation:
 
     def pairs_iter(self) -> Iterator[tuple[int, int]]:
         """All pairs in row-major (sorted) order."""
-        for s in range(self.element_count):
-            for t in np.nonzero(self.matrix[s])[0]:
-                yield (s, int(t))
+        rows, cols = np.nonzero(self.matrix)
+        return zip(rows.tolist(), cols.tolist())
 
     def pairs_set(self) -> frozenset[tuple[int, int]]:
         return frozenset(self.pairs_iter())
@@ -132,7 +131,6 @@ class GroupPresentation:
     element_count: int
     identity: int
     letter_action: np.ndarray
-    table: Optional[np.ndarray] = None
 
 
 def _validate_group_table(table: np.ndarray) -> int:
@@ -161,10 +159,9 @@ def _validate_group_table(table: np.ndarray) -> int:
     for g in generators:
         if not np.array_equal(table[table[:, g]], table[:, table[g]]):
             raise ValueError("group table is not associative")
-    for x in range(n):
-        inverses = np.nonzero(table[x, :] == identity)[0]
-        if len(inverses) == 0 or table[int(inverses[0]), x] != identity:
-            raise ValueError(f"group table element {x} has no two-sided inverse")
+    missing = first_without_inverse(table, identity)
+    if missing is not None:
+        raise ValueError(f"group table element {missing} has no two-sided inverse")
     return identity
 
 
@@ -197,7 +194,6 @@ def group_from_dict(data: Mapping, name: str = "custom") -> GroupPresentation:
         element_count=n,
         identity=identity,
         letter_action=action,
-        table=table,
     )
 
 
@@ -209,7 +205,6 @@ def trivial_group(alphabet: Iterable[str]) -> GroupPresentation:
         element_count=1,
         identity=0,
         letter_action=np.zeros((len(alpha), 1), dtype=np.int32),
-        table=np.zeros((1, 1), dtype=np.int32),
     )
 
 

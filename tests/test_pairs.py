@@ -18,7 +18,7 @@ import pytest
 
 from hierarchy_one.errors import DEFAULT_GROUP_NODE_BUDGET, BudgetError, budget_from_env
 from hierarchy_one.lang import Dfa, compile_dfa, minimize
-from hierarchy_one.monoid import stable_sequence, transition_monoid
+from hierarchy_one.monoid import first_without_inverse, is_group, stable_sequence, transition_monoid
 from hierarchy_one.pairs import (
     BASIS_AMT,
     BASIS_MOD,
@@ -172,9 +172,25 @@ def ladder(k):
     return monoid_of("(a|b)*a" + "(a|b)" * (k - 1), "ab")
 
 
+def loop_pairs_to_dict(rel):
+    """The listing `pairs_to_dict` gave when `pairs_iter` walked the matrix
+    row by row, kept as the oracle of the whole-array walk."""
+    rows = []
+    for s in range(rel.element_count):
+        for t in np.nonzero(rel.matrix[s])[0]:
+            wit = rel._witness(s, int(t))
+            u, v = wit if wit is not None else (None, None)
+            rows.append([s, int(t), u, v])
+    return {"basis": rel.basis, "certified": rel.certified, "pairs": rows}
+
+
 def test_mod_pairs_equal_the_pick_table_oracle(morphism_corpus):
+    # compared as JSON text, so a NumPy integer in the listing fails too
     for m in [m for _, m in morphism_corpus] + [ladder(k) for k in range(1, 10)]:
-        assert pairs_to_dict(mod_pairs(m)) == pairs_to_dict(pick_mod_pairs(m))
+        rel = mod_pairs(m)
+        listed = json.dumps(pairs_to_dict(rel))
+        assert listed == json.dumps(loop_pairs_to_dict(rel))
+        assert listed == json.dumps(pairs_to_dict(pick_mod_pairs(m)))
 
 
 def test_mod_pairs_peak_stays_within_two_bytes_per_table_entry():
@@ -300,9 +316,9 @@ def test_group_loader_finds_the_identity_anywhere():
 
 
 def test_group_loader_rejects_monoids_without_inverses():
-    # an absorbing element has no inverse
+    # a valid monoid with identity 0 whose absorbing element 1 has no inverse
     doc = {"elements": 2, "table": [[0, 1], [1, 1]], "letter_image": {"a": 1}}
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="element 1 has no two-sided inverse"):
         group_from_dict(doc)
 
 
@@ -403,6 +419,27 @@ def bucket_group_pairs(visited, n, words):
                     u, v = words.get(chunk_list[i]), words.get(chunk_list[j])
                     witnesses[(s, t)] = (u, v) if u is not None and v is not None else None
     return matrix, witnesses
+
+
+def loop_first_without_inverse(table, identity):
+    """The per-element inverse test the whole-table one replaced."""
+    for x in range(len(table)):
+        inverses = np.nonzero(table[x, :] == identity)[0]
+        if len(inverses) == 0 or table[int(inverses[0]), x] != identity:
+            return x
+    return None
+
+
+def test_whole_table_inverse_test_equals_the_per_element_loop(morphism_corpus):
+    z600 = (np.arange(600)[:, None] + np.arange(600)[None, :]) % 600
+    for doc in (Z3_DOC, S3_DOC, {"elements": 600, "table": z600.tolist(), "letter_image": {"a": 1}}):
+        assert group_from_dict(doc).element_count == doc["elements"]
+        assert first_without_inverse(np.array(doc["table"]), 0) is None
+    assert first_without_inverse(np.array([[0, 1], [1, 1]]), 0) == 1
+    for _, m in morphism_corpus:
+        want = loop_first_without_inverse(m.table, m.identity)
+        assert first_without_inverse(m.table, m.identity) == want
+        assert is_group(m) == (want is None)
 
 
 def test_group_join_equals_the_bucket_oracle(morphism_corpus):
