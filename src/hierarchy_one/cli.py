@@ -130,15 +130,11 @@ def _print_report(report: Report, show_witness: bool) -> None:
     w = report.witness
     if w is not None:
         roles = sorted(w.elements)
-        compact = ", ".join(
-            f"{r}={_show_word(w.words[r])}" for r in roles if w.words.get(r) is not None
-        )
+        compact = ", ".join(f"{r}={_show_word(w.words[r])}" for r in roles)
         print(f"  violation of {report.equation}: {compact}")
         if show_witness:
             for r in roles:
-                word = w.words.get(r)
-                shown = _show_word(word) if word is not None else "(no word witness)"
-                print(f"    {r} = element {w.elements[r]}  {shown}")
+                print(f"    {r} = element {w.elements[r]}  {_show_word(w.words[r])}")
             print(f"    sides evaluate to {w.lhs} vs {w.rhs}")
 
 

@@ -74,9 +74,6 @@ class Dfa:
         except ValueError:
             raise AlphabetError(f"symbol {symbol!r} not in alphabet {self.alphabet!r}")
 
-    def step(self, state: int, symbol: str) -> int:
-        return self.delta[state][self.symbol_index(symbol)]
-
     def accepts(self, word: str) -> bool:
         q = self.initial
         for ch in word:

@@ -7,9 +7,11 @@ one vectorized block so early exits stay cheap. GONE is WGONE with
 e = f = 1, and both run one class sweep: their sides factor into a row
 class of (e, X = eqf, r) and a column class of (e, Y = esf, t); a row class
 that meets every column class of its e holds for good, so a long sweep
-looks only at blocks (e, X, Y) whose X has a failing row class. A verdict's
-witness can be re-derived: its words evaluate to its elements, and the
-equation sides recompute from the elements alone.
+looks only at blocks (e, X, Y) whose X has a failing row class. Likewise
+POLG is POLGP with e = 1, and both run one Pol sweep. Every refutation is
+built in one place, `_violation`. A verdict's witness can be re-derived:
+its words evaluate to its elements, and the equation sides recompute from
+the elements alone.
 
 Equation tags:
   POLC   x^{ω+1} ≤ x^ω y x^ω            (generic polynomial closure)
@@ -115,6 +117,16 @@ def _pair_words(m: SyntacticMorphism, rel: PairRelation, s: int, t: int) -> tupl
     return wit
 
 
+def _violation(m: SyntacticMorphism, equation: str, elements: dict[str, int], lhs: int,
+               rhs: int, pair_words: Optional[dict[str, str]] = None) -> Verdict:
+    """The refutation of `equation` at `elements`, whose sides are lhs and
+    rhs: every element is named by its word in m.witness, then the roles in
+    `pair_words` by the words the pair relation gave (see _pair_words)."""
+    words = {var: m.witness[x] for var, x in elements.items()}
+    words.update(pair_words or {})
+    return Verdict(False, equation, ViolationWitness(elements, words, int(lhs), int(rhs)))
+
+
 def check_pol(m: SyntacticMorphism, order: OrderRelation, rel: PairRelation) -> Verdict:
     """POLC: x^{ω+1} ≤ x^ω y x^ω for every pair (x, y) — reported as (s, t)."""
     table = np.asarray(m.table)
@@ -130,36 +142,20 @@ def check_pol(m: SyntacticMorphism, order: OrderRelation, rel: PairRelation) -> 
         bad = np.nonzero(~leq[lhs, rhs])[0]
         if len(bad):
             t = int(ts[bad[0]])
-            u, v = _pair_words(m, rel, s, t)
-            return Verdict(False, EQ_POLC, ViolationWitness(
-                elements={"s": s, "t": t},
-                words={"s": u, "t": v},
-                lhs=lhs,
-                rhs=int(table[table[e, t], e]),
-            ))
+            return _violation(m, EQ_POLC, {"s": s, "t": t}, lhs, rhs[bad[0]],
+                              dict(zip("st", _pair_words(m, rel, s, t))))
     return Verdict(True, EQ_POLC)
 
 
-def check_pol_group(m: SyntacticMorphism, order: OrderRelation, rel: PairRelation) -> Verdict:
-    """POLG: 1 ≤ s whenever (1, s) is a pair."""
-    one = m.identity
-    for s in (int(x) for x in np.nonzero(rel.matrix[one])[0]):
-        if not order.matrix[one, s]:
-            _, v = _pair_words(m, rel, one, s)
-            return Verdict(False, EQ_POLG, ViolationWitness(
-                elements={"s": s}, words={"s": v}, lhs=one, rhs=s,
-            ))
-    return Verdict(True, EQ_POLG)
-
-
-def check_pol_group_plus(m: SyntacticMorphism, order: OrderRelation, rel: PairRelation) -> Verdict:
-    """POLGP: e ≤ e s e for every idempotent e of S and pair (1, s), as one
-    [e, s] block split along e past _ENTRY_CAP entries: a block's first
-    entry in C order is the first violation of the e, then s, sweep."""
+def _pol_sweep(m: SyntacticMorphism, order: OrderRelation, rel: PairRelation,
+               idem: tuple[int, ...], equation: str) -> Verdict:
+    """e ≤ e s e for every e in `idem` and pair (1, s), as one [e, s] block
+    split along e past _ENTRY_CAP entries: a block's first entry in C order
+    is the first violation of the e, then s, sweep."""
     table = np.asarray(m.table)
     one = m.identity
     candidates = np.nonzero(rel.matrix[one])[0]
-    idem = np.asarray(m.idempotents_s, dtype=np.intp)
+    idem = np.asarray(idem, dtype=np.intp)
     step = max(1, _ENTRY_CAP // max(1, len(candidates)))
     for lo in range(0, len(idem), step):
         block = idem[lo:lo + step]
@@ -168,17 +164,24 @@ def check_pol_group_plus(m: SyntacticMorphism, order: OrderRelation, rel: PairRe
         if bad.any():
             i, j = divmod(int(bad.argmax()), bad.shape[1])
             e, s = int(block[i]), int(candidates[j])
-            _, v = _pair_words(m, rel, one, s)
-            return Verdict(False, EQ_POLGP, ViolationWitness(
-                elements={"e": e, "s": s},
-                words={"e": m.witness[e], "s": v},
-                lhs=e,
-                rhs=int(rhs[i, j]),
-            ))
-    return Verdict(True, EQ_POLGP)
+            elements = {"e": e, "s": s} if equation == EQ_POLGP else {"s": s}
+            return _violation(m, equation, elements, e, rhs[i, j],
+                              {"s": _pair_words(m, rel, one, s)[1]})
+    return Verdict(True, equation)
 
 
-# Entries of a class sweep unit or a KNAST or POLGP block: temporaries of a
+def check_pol_group(m: SyntacticMorphism, order: OrderRelation, rel: PairRelation) -> Verdict:
+    """POLG: 1 ≤ s whenever (1, s) is a pair: the Pol sweep with e = 1."""
+    return _pol_sweep(m, order, rel, (m.identity,), EQ_POLG)
+
+
+def check_pol_group_plus(m: SyntacticMorphism, order: OrderRelation, rel: PairRelation) -> Verdict:
+    """POLGP: e ≤ e s e for every idempotent e of S and pair (1, s): the Pol
+    sweep over E(S)."""
+    return _pol_sweep(m, order, rel, m.idempotents_s, EQ_POLGP)
+
+
+# Entries of a class sweep unit or a KNAST or Pol sweep block: temporaries of a
 # few tens of MB.
 _ENTRY_CAP = 1 << 20
 
@@ -316,9 +319,8 @@ def _class_sweep(m: SyntacticMorphism, rel: PairRelation, idem: tuple[int, ...],
             qi, s, i, j, r, t, lhs, rhs = first
             q, e, f = int(gq[qi]), int(idem[i]), int(idem[j])
             elements = dict(zip("qrst" + "ef" * (equation == EQ_WGONE), (q, r, s, t, e, f)))
-            words = {var: m.witness[x] for var, x in elements.items()}
-            words["q"], words["s"] = _pair_words(m, rel, q, s)
-            return Verdict(False, equation, ViolationWitness(elements, words, lhs, rhs))
+            return _violation(m, equation, elements, lhs, rhs,
+                              dict(zip("qs", _pair_words(m, rel, q, s))))
     return Verdict(True, equation)
 
 
@@ -351,11 +353,7 @@ def _check_simon(m: SyntacticMorphism) -> Verdict:
             lhs, rhs = int(zs[s, t]), int(z[s, t])
         else:
             lhs, rhs = int(z[s, t]), int(tz[s, t])
-        return Verdict(False, EQ_SIMON, ViolationWitness(
-            elements={"s": s, "t": t},
-            words={"s": m.witness[s], "t": m.witness[t]},
-            lhs=lhs, rhs=rhs,
-        ))
+        return _violation(m, EQ_SIMON, {"s": s, "t": t}, lhs, rhs)
     return Verdict(True, EQ_SIMON)
 
 
@@ -390,21 +388,16 @@ def _check_knast(m: SyntacticMorphism) -> Verdict:
                     at = np.unravel_index(int(np.argmax(neq)), neq.shape)
                     e, f = int(e_of[lo + at[0], 0]), int(f_of[lo + at[0], 0])
                     r, t = int(sub[at[1]]), int(sub[at[2]])
-                    return Verdict(False, EQ_KNAST, ViolationWitness(
-                        elements={"q": q, "r": r, "s": s, "t": t, "e": e, "f": f},
-                        words={k: m.witness[v] for k, v in
-                               (("q", q), ("r", r), ("s", s), ("t", t), ("e", e), ("f", f))},
-                        lhs=int(lhs[at]),
-                        rhs=int(rhs[at]),
-                    ))
+                    return _violation(m, EQ_KNAST, dict(zip("qrstef", (q, r, s, t, e, f))),
+                                      lhs[at], rhs[at])
     return Verdict(True, EQ_KNAST)
 
 
 def _check_grbpol(m: SyntacticMorphism) -> Verdict:
     table = np.ascontiguousarray(m.table, dtype=np.int32)
     omega = _omega_all(m)
-    diag = table[np.arange(m.element_count), np.arange(m.element_count)]
-    idem = np.nonzero(diag == np.arange(m.element_count))[0]
+    # E(M) = E(S) ∪ {1}: an idempotent other than 1 is the image of a nonempty word
+    idem = np.union1d(m.identity, np.asarray(m.idempotents_s, dtype=np.intp))
     prod = table[idem][:, idem]
     lhs = omega[prod]
     rhs = lhs.T
@@ -412,12 +405,7 @@ def _check_grbpol(m: SyntacticMorphism) -> Verdict:
     if len(bad):
         i, j = (int(v) for v in bad[0])
         e, f = int(idem[i]), int(idem[j])
-        return Verdict(False, EQ_GRBPOL, ViolationWitness(
-            elements={"e": e, "f": f},
-            words={"e": m.witness[e], "f": m.witness[f]},
-            lhs=int(lhs[i, j]),
-            rhs=int(rhs[i, j]),
-        ))
+        return _violation(m, EQ_GRBPOL, {"e": e, "f": f}, lhs[i, j], rhs[i, j])
     return Verdict(True, EQ_GRBPOL)
 
 

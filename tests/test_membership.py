@@ -15,11 +15,13 @@ import pytest
 from hierarchy_one import membership
 from hierarchy_one.errors import UsageError
 from hierarchy_one.lang import Dfa, combine, compile_dfa, minimize
+from hierarchy_one.lang.dfa import dfa_from_dict
 from hierarchy_one.membership import (
     EQ_GONE,
     EQ_GRBPOL,
     EQ_KNAST,
     EQ_POLC,
+    EQ_POLG,
     EQ_POLGP,
     EQ_SIMON,
     EQ_WGONE,
@@ -338,6 +340,77 @@ def test_pol_group_plus_verdict_matches_the_per_e_loop_on_ladders():
                     explicit_pairs(m, [(m.identity, s) for s in range(n) if rng.random() < 0.5])):
             verdict = check_pol_group_plus(m, order, rel)
             assert verdict == per_e_pol_group_plus(m, order, rel) == Verdict(True, EQ_POLGP)
+
+
+def loop_pol_group(m, order, rel):
+    """POLG: 1 ≤ s whenever (1, s) is a pair."""
+    one = m.identity
+    for s in (int(x) for x in np.nonzero(rel.matrix[one])[0]):
+        if not order.matrix[one, s]:
+            _, v = membership._pair_words(m, rel, one, s)
+            return Verdict(False, EQ_POLG, ViolationWitness(
+                elements={"s": s}, words={"s": v}, lhs=one, rhs=s,
+            ))
+    return Verdict(True, EQ_POLG)
+
+
+def test_pol_group_verdict_matches_the_pair_loop(morphism_corpus):
+    # POLG is the Pol sweep at e = 1: whole Verdicts, witness words
+    # included, against the per-s loop it replaced, over ST, MOD, random
+    # explicit relations and, on a slice, AMT
+    rng = random.Random(3301)
+    refuted = 0
+    for i, (_, m) in enumerate(morphism_corpus):
+        order = syntactic_preorder(m)
+        n = m.element_count
+        relations = [st_pairs(m), mod_pairs(m), *([amt_pairs(m)] if i < 40 else [])]
+        for density in (0.05, 0.3, 0.8):
+            relations.append(explicit_pairs(
+                m, [(q, s) for q in range(n) for s in range(n) if rng.random() < density]))
+        for rel in relations:
+            expected = loop_pol_group(m, order, rel)
+            assert check_pol_group(m, order, rel) == expected
+            refuted += not expected.member
+    assert refuted > 100
+
+
+def test_pol_group_verdict_matches_the_pair_loop_on_ladders():
+    for k in range(2, 9):
+        m = nth_letter_from_end(k)
+        order = syntactic_preorder(m)
+        rel = st_pairs(m)
+        assert check_pol_group(m, order, rel) == loop_pol_group(m, order, rel)
+
+
+def test_pol_group_and_pol_group_plus_do_not_call_each_other(monkeypatch, morphism_corpus):
+    # perfbench wraps both checkers by name and times each call, so a call
+    # of one inside the other would show up as a span of the other
+    cases = [(m, syntactic_preorder(m), st_pairs(m)) for _, m in morphism_corpus[:40]]
+    expected = [(check_pol_group(*case), check_pol_group_plus(*case)) for case in cases]
+
+    def forbidden(*args):
+        raise AssertionError("the checkers must not call each other")
+
+    monkeypatch.setattr(membership, "check_pol_group", forbidden)
+    assert [check_pol_group_plus(*case) for case in cases] == [p for _, p in expected]
+    monkeypatch.undo()
+    monkeypatch.setattr(membership, "check_pol_group_plus", forbidden)
+    assert [check_pol_group(*case) for case in cases] == [g for g, _ in expected]
+
+
+def test_pair_without_recorded_words_is_shown_by_element_words():
+    # (1, b) is an AMT pair past the witness cap of the group BFS, so the
+    # refutation names s by its shortest word: the words evaluate to the
+    # elements but do not witness the pair. Pinned in the benchmark too
+    # (groups.draw26.amt.pol); a change to the cap must fail here first.
+    d = dfa_from_dict({"alphabet": ["a", "b"], "states": 3, "initial": 0, "finals": [2],
+                       "delta": {"a": [2, 2, 1], "b": [2, 1, 2]}})
+    m = transition_monoid(minimize(d))
+    assert amt_pairs(m).witness_for(m.identity, 2) is None
+    report = decide(d, basis="amt", level="pol")
+    assert (report.member, report.equation) == (False, EQ_POLG)
+    assert report.witness.elements == {"s": 2}
+    assert report.witness.words == {"s": "b"}
 
 
 def loop_wgone(m, rel):
