@@ -312,7 +312,8 @@ def guarded_decomposition(m: SyntacticMorphism, word: str) -> GuardedDecompositi
         assert (i_s < width).all()
         inside = (columns > i_s[:, None]) & (columns <= j_s[:, None])
         loops = _reduce(m.table, np.where(inside, letters, m.identity))
-        links_rev.extend(m.omega(int(x)) for x in loops)
+        values, which = np.unique(loops, return_inverse=True)
+        links_rev.extend(np.array([m.omega(int(x)) for x in values])[which].tolist())
         for tail, i in zip(tails, i_s.tolist()):
             blocks_rev.append(tail[i + 1:] + carry)
             carry = tail[: i + 1]

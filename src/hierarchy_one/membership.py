@@ -6,12 +6,12 @@ then idempotents (e, f), then the inner (r, t) plane, which is evaluated as
 one vectorized block so early exits stay cheap. GONE is WGONE with
 e = f = 1, and both run one class sweep: their sides factor into a row
 class of (e, X = eqf, r) and a column class of (e, Y = esf, t); a row class
-that meets every column class of its e holds for good, so a long sweep
-looks only at blocks (e, X, Y) whose X has a failing row class. Likewise
-POLG is POLGP with e = 1, and both run one Pol sweep. Every refutation is
-built in one place, `_violation`. A verdict's witness can be re-derived:
-its words evaluate to its elements, and the equation sides recompute from
-the elements alone.
+that meets every column class of its e holds for good, and a long sweep
+decides each block (e, X, Y) from which row classes fail against which
+column classes, without evaluating the block. Likewise POLG is POLGP with
+e = 1, and both run one Pol sweep. Every refutation is built in one place,
+`_violation`. A verdict's witness can be re-derived: its words evaluate to
+its elements, and the equation sides recompute from the elements alone.
 
 Equation tags:
   POLC   x^{ω+1} ≤ x^ω y x^ω            (generic polynomial closure)
@@ -110,6 +110,17 @@ def _distinct(x: np.ndarray) -> np.ndarray:
     return x[keep]
 
 
+def _bit_words(bits: np.ndarray) -> np.ndarray:
+    """[bit, column] booleans as [word, column] unsigned words of 1, 2, 4 or 8
+    bytes, the smallest that hold them: bit b is bit b % w of word b // w, for
+    words of w bits."""
+    nbytes = -(-len(bits) // 8)
+    size = min(8, 1 << (nbytes - 1).bit_length())
+    packed = np.zeros((bits.shape[1], -(-nbytes // size) * size), dtype=np.uint8)
+    packed[:, :nbytes] = np.packbits(bits, axis=0, bitorder="little").T
+    return packed.view(f"<u{size}").T
+
+
 def _pair_words(m: SyntacticMorphism, rel: PairRelation, s: int, t: int) -> tuple[str, str]:
     wit = rel.witness_for(s, t)
     if wit is None:
@@ -185,8 +196,8 @@ def check_pol_group_plus(m: SyntacticMorphism, order: OrderRelation, rel: PairRe
 # few tens of MB.
 _ENTRY_CAP = 1 << 20
 
-# Sweeps of at most this many entries are read off whole: filtering one by
-# row classes first would take some fifty numpy calls more than that.
+# Sweeps of at most this many entries are read off whole: deciding one from
+# its classes would take dozens of numpy calls more than that.
 _WHOLE_SWEEP = 1 << 16
 
 
@@ -210,11 +221,17 @@ def _class_sweep(m: SyntacticMorphism, rel: PairRelation, idem: tuple[int, ...],
     in the order q, s, e, f, r, t; the Verdict holds its first violation.
 
     The sweep is walked in units, a group of q times a block of e with at
-    most _ENTRY_CAP entries, each distinct block (e, X, Y) of a unit once.
-    A sweep of more than _WHOLE_SWEEP entries is filtered first: a row class
-    of (e, X, r) meets every column class of its e (those of every Y = esf)
-    or fails, once and for all, and a position can fail only if its X has a
-    failing row class and its Y a column class that one fails against."""
+    most _ENTRY_CAP entries. A sweep of at most _WHOLE_SWEEP entries reads
+    each distinct block (e, X, Y) of a unit off whole. A longer one is
+    decided from its classes: a row class of (e, X, r) meets every column
+    class of its e (those of every Y = esf) or fails, once and for all.
+    Each unit evaluates its row classes not yet known to hold against the
+    column classes of their e, and folds that fail relation into bits: a
+    column class carries the bit of each unsettled X of the unit that has a
+    row class failing against it. A block (e, X, Y) fails exactly when a
+    column class of Y carries X's bit, and the first violation's (r, t) and
+    sides are read off the failing row classes of X and the column classes
+    of Y, so no block is evaluated."""
     n = m.element_count
     nn = n * n
     table = np.ascontiguousarray(m.table, dtype=np.int32)
@@ -258,58 +275,111 @@ def _class_sweep(m: SyntacticMorphism, rel: PairRelation, idem: tuple[int, ...],
     e_block = min(k, max(1, _ENTRY_CAP // (k * n ** 3)))
     group = max(1, _ENTRY_CAP // (e_block * k * n ** 3))
     blocks = {}                              # first e of a block -> its arrays, see below
-    held = np.zeros(k * nn, dtype=bool)      # row classes e·n² + a·n + b meeting all of e's
+    starts = np.arange(0, k, e_block)        # the first e of each block
+    if filtered:
+        held = np.zeros(k * nn, dtype=bool)  # row classes e·n² + a·n + b meeting all of e's
+        settled = np.zeros((k, n), dtype=bool)   # [e, X]: every row class of (e, X, r) holds
+        e_at = np.arange(0, k * n, n)[:, None, None]                # settled.ravel() offsets
+
+    def class_first(gq, b, x, unset):
+        """The first failing position of the unit (q in gq, e block b), in
+        sweep order and in first_failing's form; x[i, q, f] is X = eqf and
+        unset[i, q, f] that X is not settled."""
+        e, local, ezf, classes = blocks[b]
+        if classes is None:
+            # column classes of (e, Z) keyed i·n² + c·n + d; those of each Y = esf
+            # as (e, c, d), [i, Y, t] -> index
+            zte = flat[table * n + e[:, None, None]]      # Z t e
+            z_om = omega[zte]
+            col = (flat[z_om * n + zte] + local * n) * n + flat[np.arange(n) * n + z_om]
+            is_y = np.zeros((len(e), n), dtype=bool)
+            is_y[local, ezf] = True
+            marks = np.zeros(len(e) * nn, dtype=bool)
+            marks[col[is_y]] = True
+            v = marks.nonzero()[0]
+            cls = marks.cumsum(dtype=np.int32) - 1   # key of a class -> its index
+            v_e, v_cd = np.divmod(v, nn)
+            classes = blocks[b][3] = (cls[col], v_e + b, *np.divmod(v_cd, n))
+        cls, v_e, v_c, v_d = classes
+        live = np.zeros((len(e), n), dtype=bool)   # [i, X]: an unsettled X of the unit
+        live[local, x] = unset
+        li, lx = live.nonzero()
+        # [live (e, X), r] -> the row class of (e, X, r)
+        a = omega[flat[table[lx] * n + e[li, None]]]                      # (Xre)^ω
+        rows = (a + (b + li[:, None]) * n) * np.intp(n) + flat[a * n + lx[:, None]]
+        new = ~held[rows]
+        if not new.any():                    # every row class of these X holds
+            settled[b + li, lx] = True
+            return None
+        keys = rows[new]
+        fresh = _distinct(keys)
+        held[fresh] = True
+        # the fail relation of the fresh row classes against the column classes of
+        # their e, folded into bits: each live X has a bit of its e, and x_fails[bit,
+        # column class] says that a row class of that X fails against the class
+        bit = live.cumsum(axis=1)[li, lx] - 1
+        x_rows = np.zeros((int(bit.max()) + 1, len(fresh)), dtype=bool)   # [bit, fresh]
+        x_rows[np.repeat(bit, new.sum(axis=1)), np.searchsorted(fresh, keys)] = True
+        f_e, f_ab = np.divmod(fresh[:, None], nn)
+        f_a, f_b = np.divmod(f_ab, n)
+        f_a *= n                             # a·n and b·n, to read a·c and b·d off flat
+        f_b *= n
+        x_fails = np.zeros((len(x_rows), len(v_e) + 1), dtype=bool)   # index -1 reads 0
+        step = max(1, _ENTRY_CAP // max(1, len(fresh)))
+        for c in range(0, len(v_e), step):
+            w = slice(c, c + step)
+            neq = (flat[f_a + v_c[w]] != flat[f_b + v_d[w]]) & (f_e == v_e[w])
+            held[fresh[neq.any(axis=1)]] = False
+            x_fails[:, c:c + neq.shape[1]] = x_rows @ neq
+        open_x = (~held[rows]).any(axis=1)     # a row class of X fails
+        settled[b + li, lx] = ~open_x
+        if not open_x.any():
+            return None
+        # [word, i, Y]: the bits of the X that fail against a column class of Y,
+        # and [word, i, X]: the bit of X (none for a settled X); block (e, X, Y)
+        # fails exactly when Y carries X's bit
+        words = _bit_words(x_fails)
+        size = 8 * words.itemsize
+        y_bits = np.bitwise_or.reduce(np.take(words, cls, axis=1), axis=3)
+        x_bit = np.zeros((len(words),) + live.shape, dtype=words.dtype)
+        x_bit[bit // size, li, lx] = words.dtype.type(1) << (bit % size).astype(words.dtype)
+        hit = (y_bits[:, local, ezf][:, :, None] & x_bit[:, local, x][:, :, :, None]).any(axis=0)
+        cand = hit.transpose(1, 2, 0, 3) & pairs[gq][:, :, None, None]   # [q, s, i, f]
+        u = int(cand.argmax())
+        if not cand.flat[u]:
+            return None
+        qi, s, i, j = np.unravel_index(u, cand.shape)
+        # the sides a·c and b·d over the row classes (a, b) of X, r in M, and the
+        # column classes (c, d) of Y, t in M; a row class that holds meets them all
+        p = np.flatnonzero((li == i) & (lx == x[i, qi, j]))[0]
+        at = cls[i, ezf[i, s, j]]
+        lhs = flat[a[p][:, None] * n + v_c[at]]
+        rhs = flat[(rows[p] % n)[:, None] * n + v_d[at]]
+        r, t = divmod(int((lhs != rhs).argmax()), n)
+        return int(qi), int(s), b + int(i), int(j), r, t, int(lhs[r, t]), int(rhs[r, t])
+
     for lo in range(0, len(qs), group):
         gq = qs[lo:lo + group]
         first = None                         # the group's first failing position
-        for b in range(0, k, e_block):
+        blocks_todo = starts.tolist()
+        if filtered:
+            # [e, q, f] -> X = eqf and whether it may still fail; a block of e
+            # whose X all hold is skipped
+            x_all = table[table[idem[:, None], gq][..., None], idem]
+            unset = ~settled.ravel()[x_all + e_at]
+            blocks_todo = starts[np.logical_or.reduceat(
+                unset.reshape(k, -1).any(axis=1), starts)].tolist()
+        for b in blocks_todo:
             if b not in blocks:              # [i, z, f] -> ezf for the i-th e of the block
                 e = idem[b:b + e_block]
                 blocks[b] = [e, np.arange(len(e), dtype=np.int32)[:, None, None],
                              table[table[e][:, :, None], idem], None]
-            e, local, ezf, classes = blocks[b]
-            x = ezf[:, gq]                   # [e, q, f] -> X; ezf[e, s, f] is Y
-            cand = pairs[gq][:, :, None, None]
             if filtered:
-                if classes is None:
-                    # column classes of (e, Z) keyed i·n² + c·n + d; those of each Y = esf
-                    # as (e, c, d), [i, Y, t] -> index; settled[i, X]: its row classes hold
-                    zte = flat[table * n + e[:, None, None]]      # Z t e
-                    z_om = omega[zte]
-                    col = (flat[z_om * n + zte] + local * n) * n + flat[np.arange(n) * n + z_om]
-                    is_y = np.zeros((len(e), n), dtype=bool)
-                    is_y[local, ezf] = True
-                    marks = np.zeros(len(e) * nn, dtype=bool)
-                    marks[col[is_y]] = True
-                    v = marks.nonzero()[0]
-                    cls = marks.cumsum(dtype=np.int32) - 1   # key of a class -> its index
-                    v_e, v_cd = np.divmod(v, nn)
-                    classes = blocks[b][3] = (cls[col], v_e + b, *np.divmod(v_cd, n),
-                                              np.zeros((len(e), n), dtype=bool))
-                cls, v_e, v_c, v_d, settled = classes
-                if settled[local, x].all():
-                    continue
-                # [e, q, f, r] -> the row class of (e, X, r)
-                a = omega[flat[table[x] * n + e[:, None, None, None]]]        # (Xre)^ω
-                rows = (a + (b + local[..., None]) * n) * np.intp(n) + flat[a * n + x[..., None]]
-                fresh = _distinct(rows[~held[rows]])
-                held[fresh] = True
-                f_e, f_ab = np.divmod(fresh[:, None], nn)
-                f_a, f_b = np.divmod(f_ab, n)
-                hot = np.zeros(len(v_e) + 1, dtype=bool)  # column classes a row class fails
-                step = max(1, _ENTRY_CAP // max(1, len(fresh)))
-                for c in range(0, len(v_e), step):
-                    w = slice(c, c + step)
-                    neq = (table[f_a, v_c[w]] != table[f_b, v_d[w]]) & (f_e == v_e[w])
-                    held[fresh[neq.any(axis=1)]] = False
-                    hot[c:c + neq.shape[1]] = neq.any(axis=0)
-                open_ = (~held[rows]).any(axis=3)      # [e, q, f]: X has a failing row class
-                settled[local, x] = ~open_
-                if not open_.any():
-                    continue
-                cand = (cand & open_.transpose(1, 0, 2)[:, None]
-                        & hot[cls].any(axis=2)[local, ezf].transpose(1, 0, 2)[None])
-            found = first_failing(*(cand | np.zeros((len(e), k), dtype=bool)).nonzero(), x, ezf, b)
+                found = class_first(gq, b, x_all[b:b + e_block], unset[b:b + e_block])
+            else:
+                e, _, ezf, _ = blocks[b]
+                cand = pairs[gq][:, :, None, None] | np.zeros((len(e), k), dtype=bool)
+                found = first_failing(*cand.nonzero(), ezf[:, gq], ezf, b)
             # blocks of one group come in e order, so a tie keeps the earlier
             if found is not None and (first is None or found[:2] < first[:2]):
                 first = found

@@ -576,15 +576,20 @@ def subword_dfa(word, alphabet="abc"):
     return compile_dfa(any_ + any_.join(word) + any_, alphabet)
 
 
+def pt_member():
+    """A piecewise-testable language with |M| = 143: GONE sweeps every block."""
+    m = transition_monoid(minimize(combine(
+        combine(subword_dfa("aba"), subword_dfa("bcca"), "union"),
+        combine(subword_dfa("abbb"), subword_dfa("cbab"), "intersection"),
+        "difference")))
+    assert m.element_count == 143
+    return m
+
+
 @pytest.mark.parametrize("case", ["pt_member", "mod_ladder_7"])
 def test_gone_decides_large_monoids_in_seconds(case):
     if case == "pt_member":
-        # a piecewise-testable member with |M| = 143: every block is swept
-        m = transition_monoid(minimize(combine(
-            combine(subword_dfa("aba"), subword_dfa("bcca"), "union"),
-            combine(subword_dfa("abbb"), subword_dfa("cbab"), "intersection"),
-            "difference")))
-        assert m.element_count == 143
+        m = pt_member()
         rel = st_pairs(m)
     else:
         # |M| = 255, whose first violation comes only at q = 127
@@ -605,6 +610,78 @@ def test_gone_decides_large_monoids_in_seconds(case):
             words={"q": "aaaaaaa", "r": "b", "s": "", "t": ""},
             lhs=128, rhs=127))
         assert verify_witness(m, verdict)
+
+
+@pytest.fixture(scope="module")
+def corpus_sweeps(morphism_corpus):
+    """(m, rel, GONE verdict, WGONE verdict) of the block loops, for every
+    corpus monoid over ST, MOD and explicit relations of four densities."""
+    rng = random.Random(6007)
+    cases = []
+    for _, m in morphism_corpus:
+        n = m.element_count
+        relations = [st_pairs(m), mod_pairs(m)]
+        for density in (0.02, 0.05, 0.3, 0.8):
+            relations.append(explicit_pairs(
+                m, [(q, s) for q in range(n) for s in range(n) if rng.random() < density]))
+        cases += [(m, rel, loop_gone(m, rel), loop_wgone(m, rel)) for rel in relations]
+    return cases
+
+
+@pytest.mark.parametrize("cap", ["default", "one q and one e"])
+def test_filtered_sweep_matches_the_block_loops_on_the_corpus(corpus_sweeps, monkeypatch, cap):
+    # with _WHOLE_SWEEP = 0 every sweep takes the filtered path, which the
+    # corpus monoids (|M| ≤ 26) never reach on their own; _ENTRY_CAP = 1 makes
+    # each unit one q and one e, and each fail-relation chunk one column class
+    monkeypatch.setattr(membership, "_WHOLE_SWEEP", 0)
+    if cap != "default":
+        monkeypatch.setattr(membership, "_ENTRY_CAP", 1)
+    first_q = refuted = 0
+    for m, rel, gone, wgone in corpus_sweeps:
+        for check, expected in ((check_bpol_group, gone), (check_bpol_group_plus, wgone)):
+            verdict = check(m, rel)
+            assert verdict == expected
+            if not verdict.member:
+                refuted += 1
+                q0 = next(q for q in range(m.element_count)
+                          if rel.matrix[q].sum() > rel.matrix[q, q])
+                first_q += verdict.witness.elements["q"] == q0
+    assert refuted > 800
+    assert first_q > 600        # violations in the first q, where the walk exits early
+
+
+def test_filtered_sweep_evaluates_no_block(monkeypatch):
+    # members decided from the class fail relation alone, and a non-member's
+    # first violation read off its classes: no block's sides are computed
+    def forbidden(*args):
+        raise AssertionError("a filtered sweep evaluated a block")
+
+    m3, m143, m5 = nth_letter_from_end(3), pt_member(), nth_letter_from_end(5)
+    expected = loop_gone(m5, st_pairs(m5))
+    monkeypatch.setattr(membership, "_block_sides", forbidden)
+    assert check_bpol_group_plus(m3, st_pairs(m3)).member
+    assert check_bpol_group(m143, st_pairs(m143)).member
+    verdict = check_bpol_group(m5, st_pairs(m5))
+    assert not verdict.member
+    assert verdict == expected
+
+
+def test_filtered_sweep_marks_more_than_64_x_per_unit(monkeypatch):
+    # a larger cap puts 65 q of |M| = 127 in one GONE unit, so the X of one e
+    # take two 64-bit words
+    m = nth_letter_from_end(6)
+    expected = [loop_gone(m, rel) for rel in (st_pairs(m), mod_pairs(m))]
+    widths = []
+    bit_words = membership._bit_words
+
+    def counted(bits):
+        widths.append(len(bits))
+        return bit_words(bits)
+
+    monkeypatch.setattr(membership, "_bit_words", counted)
+    monkeypatch.setattr(membership, "_ENTRY_CAP", 1 << 27)
+    assert [check_bpol_group(m, rel) for rel in (st_pairs(m), mod_pairs(m))] == expected
+    assert max(widths) > 64
 
 
 @pytest.mark.parametrize("k", [4, 5, 6])
