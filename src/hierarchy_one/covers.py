@@ -19,11 +19,12 @@ from .errors import DEFAULT_STATE_BUDGET, UsageError, budget_from_env
 from .lang.dfa import (
     Dfa,
     combine,
+    determinize,
     empty_dfa,
-    explore,
     includes,
     is_permutation_automaton,
     minimize,
+    node_mask,
     words_of_length,
 )
 # transition_monoid has no caller here; the benchmark tracer
@@ -43,39 +44,20 @@ def up_arrow(l_dfa: Dfa, word: str, state_budget: Optional[int] = None) -> Dfa:
 
     Built as an NFA of n+1 copies of L's automaton with a bridge per letter
     of `word` (final state of copy i → initial of copy i+1), then
-    determinized."""
+    determinized. Node c·|Q| + q is state q of copy c."""
     budget = budget_from_env(DEFAULT_STATE_BUDGET) if state_budget is None else state_budget
     n_states = l_dfa.states
-    n_letters = len(l_dfa.alphabet)
-    bridge = [l_dfa.symbol_index(ch) for ch in word]
-    copies = len(word) + 1
-
-    def moves(subset: frozenset[int], a: int) -> frozenset[int]:
-        out = set()
-        for g in subset:
-            copy, q = divmod(g, n_states)
-            out.add(copy * n_states + l_dfa.delta[q][a])
-            if copy < copies - 1 and q in l_dfa.finals and bridge[copy] == a:
-                out.add((copy + 1) * n_states + l_dfa.initial)
-        return frozenset(out)
-
-    order, rows = explore(
-        frozenset({l_dfa.initial}),
-        lambda subset: [moves(subset, a) for a in range(n_letters)],
-        budget,
-        stage=f"up_arrow determinization: DFA with {n_states} states, word of length {len(word)}")
-    finals = frozenset(
-        i for i, subset in enumerate(order)
-        if any(g // n_states == copies - 1 and g % n_states in l_dfa.finals for g in subset)
-    )
-    raw = Dfa(
-        alphabet=l_dfa.alphabet,
-        states=len(order),
-        initial=0,
-        finals=finals,
-        delta=rows,
-    )
-    return minimize(raw)
+    last = len(word) * n_states  # the first node of the last copy
+    steps = [[1 << (c + t) for c in range(0, last + n_states, n_states) for t in column]
+             for column in zip(*l_dfa.delta)]
+    for c, ch in zip(range(0, last, n_states), word):
+        step = steps[l_dfa.symbol_index(ch)]
+        for q in l_dfa.finals:
+            step[c + q] |= 1 << (c + n_states + l_dfa.initial)
+    return minimize(determinize(
+        l_dfa.alphabet, steps, 1 << l_dfa.initial,
+        node_mask(last + q for q in l_dfa.finals), budget,
+        stage=f"up_arrow determinization: DFA with {n_states} states, word of length {len(word)}"))
 
 
 @dataclass(frozen=True)
@@ -254,7 +236,10 @@ class GuardedDecomposition:
             return False
         if not set(self.links) <= set(m.idempotents_s):
             return False
-        images = block_images(m, self.blocks)
+        try:
+            images = block_images(m, self.blocks)
+        except KeyError:
+            return False  # a symbol outside the alphabet has no image
         left, right = images[:-1], images[1:]
         links = np.array(self.links, dtype=np.int32)
         return bool((_mul(m.table, left, links) == left).all()
@@ -272,7 +257,8 @@ def guarded_decomposition(m: SyntacticMorphism, word: str) -> GuardedDecompositi
     The head always shrinks by |M|²+1 letters, so level ℓ scans the fixed
     window word[N−(ℓ+1)(|M|²+1) : N−ℓ(|M|²+1)]. Levels are stacked into
     arrays in chunks of about `_CHUNK_LETTERS` letters: prefix and suffix
-    images by scans, the first collision by a stable sort of each row."""
+    images by scans, the first collision by a stable sort of each row (a
+    radix sort while the keys fit 16 bits, |M| ≤ 255)."""
     if word == "":
         raise UsageError("the empty word has no block decomposition")
     unknown = set(word).difference(m.letter_image)
@@ -284,6 +270,10 @@ def guarded_decomposition(m: SyntacticMorphism, word: str) -> GuardedDecompositi
     levels = n // width
     per_chunk = max(1, _CHUNK_LETTERS // width)
     columns = np.arange(width)
+    # Keys lie below |M|² < width, so they fit the smallest unsigned type
+    # holding width − 1. numpy's stable sort is a radix sort on 8- and
+    # 16-bit integers (width ≤ 2^16) and a merge sort on wider ones.
+    key_type = np.min_scalar_type(width - 1)
 
     blocks_rev: list[str] = []
     links_rev: list[int] = []
@@ -298,7 +288,7 @@ def guarded_decomposition(m: SyntacticMorphism, word: str) -> GuardedDecompositi
         prefixes = _scan(m.table, letters)
         suffixes = np.full_like(letters, m.identity)
         suffixes[:, :-1] = _scan(m.table, letters, reverse=True)[:, 1:]
-        keys = _pair_index(m.table, prefixes, suffixes)
+        keys = _pair_index(m.table, prefixes, suffixes).astype(key_type, copy=False)
         # A stable sort keeps equal keys in position order, so the key after
         # position i, when equal, marks the smallest j > i colliding with i.
         order = np.argsort(keys, axis=1, kind="stable")

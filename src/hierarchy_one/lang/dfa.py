@@ -10,8 +10,8 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from itertools import chain, repeat
-from typing import Callable, Hashable, Iterable, Mapping, Optional, Union as TyUnion
+from itertools import chain, compress, repeat
+from typing import Callable, Hashable, Iterable, Mapping, Optional, Sequence, Union as TyUnion
 
 from ..errors import AlphabetError, BudgetError, DEFAULT_STATE_BUDGET, budget_from_env
 from .patterns import (
@@ -221,6 +221,65 @@ class _Nfa:
                     stack.append(t)
         return frozenset(seen)
 
+    def steps(self) -> list[list[int]]:
+        """`steps[a][q]`: the ε-closure of the targets of q's letter-a edges,
+        as a node mask. Closures are taken once per letter edge."""
+        steps = [[0] * len(self.eps) for _ in range(self.n_letters)]
+        for q, edges in enumerate(self.edges):
+            for a, t in edges:
+                steps[a][q] |= node_mask(self.closure([t]))
+        return steps
+
+
+def node_mask(nodes: Iterable[int]) -> int:
+    """The set of `nodes` as an integer with bit q set for each node q."""
+    mask = 0
+    for q in nodes:
+        mask |= 1 << q
+    return mask
+
+
+def determinize(
+    alphabet: tuple[str, ...],
+    steps: Sequence[Sequence[int]],
+    initial: int,
+    accepting: int,
+    budget: Optional[int],
+    stage: str,
+) -> Dfa:
+    """The subset construction (Rabin & Scott 1959) over per-letter node
+    steps. Node sets are masks (`node_mask`): `steps[a][q]` is the set of
+    nodes q steps to on letter a, and the successor of a subset on a is the
+    union of its nodes' steps. Subsets are numbered by `explore` from
+    `initial`; a subset is final when it meets `accepting`."""
+    # moves[q]: q's nonempty steps as (letter, targets). `compress` skips
+    # the empty ones in C, so a Thompson NFA costs one Python step per
+    # letter edge here, not one per node and letter.
+    moves: list[list[tuple[int, int]]] = [[] for _ in steps[0]] if steps else []
+    for a, step in enumerate(steps):
+        for q in compress(range(len(step)), step):
+            moves[q].append((a, step[q]))
+    movers = node_mask(compress(range(len(moves)), moves))
+
+    def successors(subset: int) -> list[int]:
+        row = [0] * len(steps)
+        rest = subset & movers
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            for a, targets in moves[low.bit_length() - 1]:
+                row[a] |= targets
+        return row
+
+    order, rows = explore(initial, successors, budget, stage=stage)
+    return Dfa(
+        alphabet=alphabet,
+        states=len(order),
+        initial=0,
+        finals=frozenset(i for i, subset in enumerate(order) if subset & accepting),
+        delta=rows,
+    )
+
 
 def compile_dfa(
     pattern: TyUnion[Pattern, str],
@@ -240,44 +299,29 @@ def compile_dfa(
 
     nfa = _Nfa(len(alpha))
     start, out = nfa.fragment(pattern, letter_index)
-    accept = {out}
-
-    def successors(subset: frozenset[int]) -> list[frozenset[int]]:
-        row = []
-        for i in range(len(alpha)):
-            move = {t for q in subset for (a, t) in nfa.edges[q] if a == i}
-            row.append(nfa.closure(move) if move else frozenset())
-        return row
-
-    order, rows = explore(nfa.closure([start]), successors, budget,
-                          stage=f"subset construction: NFA with {len(nfa.eps)} nodes")
-    finals = frozenset(i for i, subset in enumerate(order) if subset & accept)
-    return Dfa(
-        alphabet=alpha,
-        states=len(order),
-        initial=0,
-        finals=finals,
-        delta=rows,
-    )
+    return determinize(alpha, nfa.steps(), node_mask(nfa.closure([start])), 1 << out, budget,
+                       stage=f"subset construction: NFA with {len(nfa.eps)} nodes")
 
 
 # --- minimization ----------------------------------------------------------
 
 def minimize(d: Dfa) -> Dfa:
     """Minimal complete DFA with canonical BFS state numbering. Idempotent."""
-    reach, delta = explore(d.initial, lambda q: d.delta[q])
-    n = len(reach)
-    n_letters = len(d.alphabet)
-    finals = {i for i, q in enumerate(reach) if q in d.finals}
+    n = d.states
+    finals = d.finals
 
-    # Hopcroft partition refinement. Blocks are sets indexed by number; a
+    # Hopcroft partition refinement over all states: equivalence does not
+    # depend on reachability, and the numbering below keeps only the blocks
+    # reachable from the initial one. Blocks are sets indexed by number; a
     # splitter's preimage is grouped by block, and only the blocks it
     # touches without covering are split. The new half of a split block
     # waits if the old one does, else the smaller half waits: O(k·n log n).
-    preimage = [[[] for _ in range(n)] for _ in range(n_letters)]
-    for q in range(n):
-        for a, t in enumerate(delta[q]):
-            preimage[a][t].append(q)
+    preimage = []
+    for column in zip(*d.delta):
+        pre: list[list[int]] = [[] for _ in range(n)]
+        for q, t in enumerate(column):
+            pre[t].append(q)
+        preimage.append(pre)
 
     blocks = [b for b in (set(finals), set(range(n)) - finals) if b]
     block_of = [0] * n
@@ -308,10 +352,10 @@ def minimize(d: Dfa) -> Dfa:
                     block_of[q] = new
                 waiting.add(new if b in waiting or len(inside) <= len(block) else b)
 
-    # Canonical numbering: BFS over blocks from the initial block.
+    # Canonical numbering: BFS over blocks from the initial state's block.
     rep = [min(block) for block in blocks]
     order, out_delta = explore(
-        block_of[0], lambda b: [block_of[t] for t in delta[rep[b]]])
+        block_of[d.initial], lambda b: [block_of[t] for t in d.delta[rep[b]]])
     return Dfa(
         alphabet=d.alphabet,
         states=len(order),
@@ -330,7 +374,11 @@ _OPS = {
 }
 
 def combine(x: Dfa, y: Dfa, op: str) -> Dfa:
-    """Product automaton for union / intersection / difference."""
+    """Product automaton for union / intersection / difference.
+
+    Raises BudgetError past the state budget (default 2**16, overridable
+    via HIERARCHY_ONE_BUDGET), naming the operation and both operand
+    sizes."""
     if op not in _OPS:
         raise ValueError(f"op must be one of {sorted(_OPS)}, got {op!r}")
     if x.alphabet != y.alphabet:
@@ -340,7 +388,9 @@ def combine(x: Dfa, y: Dfa, op: str) -> Dfa:
     keep = _OPS[op]
     order, rows = explore(
         (x.initial, y.initial),
-        lambda pair: zip(x.delta[pair[0]], y.delta[pair[1]]))
+        lambda pair: zip(x.delta[pair[0]], y.delta[pair[1]]),
+        budget_from_env(DEFAULT_STATE_BUDGET),
+        stage=f"{op} product: DFAs with {x.states} and {y.states} states")
     finals = frozenset(
         i for i, (qx, qy) in enumerate(order) if keep(qx in x.finals, qy in y.finals)
     )

@@ -427,6 +427,8 @@ def test_verify_rejects_forged_decompositions():
         assert not forged.verify(m, word)
     assert not type(d)(blocks=("ab", ""), links=(0,)).verify(m, "ab")
     assert not d.verify(m, word + "ab")
+    # a symbol outside the alphabet, with no word to compare against
+    assert not type(d)(blocks=("ab", "xb"), links=(m.idempotents_s[0],)).verify(m)
 
 
 def _ladder(k):
@@ -453,6 +455,38 @@ def test_array_decomposition_matches_the_level_loop(morphism_corpus):
             got = guarded_decomposition(m, word)
             assert got == loop_guarded_decomposition(m, word), (m.element_count, n)
             assert got.verify(m, word)
+
+
+@pytest.mark.parametrize("period, key_type", [
+    (15, np.uint8), (16, np.uint16), (255, np.uint16), (256, np.uint32)])
+def test_decomposition_keys_on_each_side_of_the_radix_widths(period, key_type, monkeypatch):
+    # The monoid is Z/period (a adds 1, b adds 3). Keys lie below the width
+    # |M|² + 1 and are sorted as uint8 up to width 2^8 (|M| = 15), as
+    # uint16 (a radix sort) up to 2^16 (|M| = 255), and merge-sorted past it.
+    m = transition_monoid(Dfa(
+        alphabet=("a", "b"), states=period, initial=0, finals=frozenset({0}),
+        delta=tuple(((q + 1) % period, (q + 3) % period) for q in range(period))))
+    assert m.element_count == period
+    width = period**2 + 1
+    rng = random.Random(period)
+    lengths = [width + 1, 2 * width + 1]
+    if period <= 16:
+        lengths += [width, 2 * width - 1, rng.randint(1, 6 * width)]
+    sorted_types = set()
+    argsort = np.argsort
+
+    def spy(keys, *args, **kwargs):
+        sorted_types.add(keys.dtype.type)
+        return argsort(keys, *args, **kwargs)
+
+    for n in lengths:
+        word = "".join(rng.choices("ab", k=n))
+        with monkeypatch.context() as patch:
+            patch.setattr(covers.np, "argsort", spy)
+            got = guarded_decomposition(m, word)
+        assert got == loop_guarded_decomposition(m, word), n
+        assert got.verify(m, word)
+    assert sorted_types == {key_type}
 
 
 def test_block_images_match_evaluate_word_by_word(morphism_corpus, monkeypatch):

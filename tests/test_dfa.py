@@ -230,6 +230,21 @@ def test_combine_rejects_mismatched_alphabets():
         combine(compile_dfa("a", "a"), compile_dfa("b", "b"), "union")
 
 
+def test_combine_is_bounded_by_the_state_budget(monkeypatch):
+    # lengths mod 2 and mod 3: the product numbers all 6 pairs, one per
+    # expanded state, so budget 5 stops it at the sixth
+    x = minimize(compile_dfa("(aa)*", "a"))
+    y = minimize(compile_dfa("(aaa)*", "a"))
+    assert (x.states, y.states) == (2, 3)
+    monkeypatch.setenv("HIERARCHY_ONE_BUDGET", "5")
+    for op in ("union", "difference"):
+        with pytest.raises(BudgetError, match=rf"budget \(5\) at stage {op} product: "
+                           r"DFAs with 2 and 3 states, 5 states found, 4 expanded$"):
+            combine(x, y, op)
+    monkeypatch.setenv("HIERARCHY_ONE_BUDGET", "6")
+    assert combine(x, y, "intersection").states == 6
+
+
 # --- emptiness, inclusion ----------------------------------------------------
 
 

@@ -1,4 +1,5 @@
-"""Differential tests for `explore`, the one breadth-first construction loop.
+"""Differential tests for `explore`, the one breadth-first construction loop,
+and for `determinize`, the one subset construction.
 
 Before `explore`, each construction ran its own queue-and-index loop. Those
 loops are kept below as oracles: the subset construction, the product, the
@@ -6,10 +7,17 @@ loops are kept below as oracles: the subset construction, the product, the
 reachable part and the canonical block numbering) and the monoid BFS. Every
 automaton, monoid and budget error built through `explore` must equal theirs,
 numbering included.
+
+Before `determinize`, `compile_dfa` and `up_arrow` each passed `explore` a
+successor function of their own, recomputing ε-closures or copy/state
+splits per subset and letter. Those successor functions are kept below as
+oracles too.
 """
 
+import json
 import random
 from collections import deque
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,10 +26,11 @@ from hierarchy_one.errors import BudgetError
 from hierarchy_one.lang import Dfa, combine, compile_dfa, minimize, normalize_alphabet
 from hierarchy_one.lang.dfa import _OPS, _Nfa, explore
 from hierarchy_one.lang.patterns import parse_pattern, pattern_to_text
-from hierarchy_one.covers import up_arrow
+from hierarchy_one.covers import pgcov_cover, up_arrow
 from hierarchy_one.monoid import transition_monoid
 from tests.conftest import random_minimal_dfa, random_permutation_dfa
-from tests.test_dfa import random_redundant_dfa
+from tests.test_covers import BENCHMARK_COVERS
+from tests.test_dfa import random_redundant_dfa, reachable_states
 from tests.test_patterns import random_ast
 
 
@@ -197,6 +206,55 @@ def loop_up_arrow(l_dfa, word, budget):
                              finals=finals, delta=rows))
 
 
+# --- the successor functions `determinize` replaced, kept as oracles ----------
+
+
+def explore_compile_dfa(pattern, alphabet, budget):
+    alpha = normalize_alphabet(alphabet)
+    if isinstance(pattern, str):
+        pattern = parse_pattern(pattern, alpha)
+    nfa = _Nfa(len(alpha))
+    start, out = nfa.fragment(pattern, {sym: i for i, sym in enumerate(alpha)})
+
+    def successors(subset):
+        row = []
+        for i in range(len(alpha)):
+            move = {t for q in subset for (a, t) in nfa.edges[q] if a == i}
+            row.append(nfa.closure(move) if move else frozenset())
+        return row
+
+    order, rows = explore(nfa.closure([start]), successors, budget,
+                          stage=f"subset construction: NFA with {len(nfa.eps)} nodes")
+    finals = frozenset(i for i, subset in enumerate(order) if out in subset)
+    return Dfa(alphabet=alpha, states=len(order), initial=0, finals=finals, delta=rows)
+
+
+def explore_up_arrow(l_dfa, word, budget):
+    n_states = l_dfa.states
+    bridge = [l_dfa.symbol_index(ch) for ch in word]
+    copies = len(word) + 1
+
+    def moves(subset, a):
+        out = set()
+        for g in subset:
+            copy, q = divmod(g, n_states)
+            out.add(copy * n_states + l_dfa.delta[q][a])
+            if copy < copies - 1 and q in l_dfa.finals and bridge[copy] == a:
+                out.add((copy + 1) * n_states + l_dfa.initial)
+        return frozenset(out)
+
+    order, rows = explore(
+        frozenset({l_dfa.initial}),
+        lambda subset: [moves(subset, a) for a in range(len(l_dfa.alphabet))],
+        budget,
+        stage=f"up_arrow determinization: DFA with {n_states} states, word of length {len(word)}")
+    finals = frozenset(
+        i for i, subset in enumerate(order)
+        if any(g // n_states == copies - 1 and g % n_states in l_dfa.finals for g in subset))
+    return minimize(Dfa(alphabet=l_dfa.alphabet, states=len(order), initial=0,
+                        finals=finals, delta=rows))
+
+
 def loop_transition_monoid(d, budget):
     """(table, witness, S, E(S), letter images, accepting) from the BFS that
     records parents, last letters and witnesses as it discovers elements."""
@@ -253,6 +311,37 @@ def outcome(build, *args):
         return build(*args)
     except BudgetError as exc:
         return ("BudgetError", str(exc).split(" at stage ", 1)[1])
+
+
+def trim(d):
+    """`d` restricted to the states reachable from its initial one."""
+    reach = reachable_states(d)
+    index = {q: i for i, q in enumerate(reach)}
+    return Dfa(alphabet=d.alphabet, states=len(reach), initial=0,
+               finals=frozenset(index[q] for q in reach if q in d.finals),
+               delta=[[index[t] for t in d.delta[q]] for q in reach])
+
+
+def benchmark_patterns():
+    """(pattern, alphabet) of every pattern case in the benchmark's
+    expected results: the ladder, the golden groups and the covers."""
+    expected = json.loads((Path(__file__).resolve().parent.parent
+                           / "perfbench" / "data" / "expected.json").read_text())
+    found = set()
+
+    def walk(node):
+        if isinstance(node, list):
+            for child in node:
+                walk(child)
+        elif isinstance(node, dict):
+            for key in ("pattern", "target", "gaps"):
+                if isinstance(node.get(key), str):
+                    found.add((node[key], node["alphabet"]))
+            for child in node.values():
+                walk(child)
+
+    walk(expected)
+    return sorted(found)
 
 
 def monoid_fields(m):
@@ -323,3 +412,47 @@ def test_monoid_equals_the_bfs_it_replaced():
     for _ in range(80):
         d = random_minimal_dfa(rng, max_states=6, letters=rng.choice(("a", "ab", "abc")))
         assert_same_monoid(d, rng.choice((2, 5, 20000)))
+
+
+def test_subset_construction_equals_the_successor_it_replaced():
+    rng = random.Random(1602)
+    for _ in range(300):
+        pattern = random_ast(rng)
+        alphabet = rng.choice(("ab", "abc"))
+        budget = rng.choice((1, 4, 12, 1 << 16))
+        assert outcome(compile_dfa, pattern, alphabet, budget) == \
+            outcome(explore_compile_dfa, pattern, alphabet, budget)
+    patterns = benchmark_patterns()
+    assert ("(a|b)*a(a|b)(a|b)(a|b)(a|b)(a|b)(a|b)(a|b)", "ab") in patterns
+    assert ("((a|b)(a|b)(a|b)(a|b))*", "ab") in patterns
+    for pattern, alphabet in patterns:
+        assert compile_dfa(pattern, alphabet) == explore_compile_dfa(pattern, alphabet, 1 << 16)
+
+
+def test_up_arrow_equals_the_successor_it_replaced():
+    # every base word of the benchmark covers over its own gap language
+    calls = 0
+    for target, gaps in BENCHMARK_COVERS:
+        l_min = minimize(compile_dfa(gaps, "ab"))
+        for word, arrow in pgcov_cover(compile_dfa(target, "ab"), l_min).entries:
+            assert arrow == explore_up_arrow(l_min, word, 1 << 16), (gaps, word)
+            calls += 1
+    assert calls == 308
+    rng = random.Random(77)
+    for _ in range(60):
+        l_dfa = minimize(random_permutation_dfa(rng, max_states=4, letters=rng.choice(("ab", "abc"))))
+        word = "".join(rng.choice(l_dfa.alphabet) for _ in range(rng.randint(0, 7)))
+        budget = rng.choice((2, 9, 1 << 16))
+        assert outcome(up_arrow, l_dfa, word, budget) == outcome(explore_up_arrow, l_dfa, word, budget)
+
+
+def test_minimize_ignores_unreachable_states():
+    rng = random.Random(4711)
+    unreachable = 0
+    for _ in range(300):
+        d = random_redundant_dfa(rng, max_states=rng.choice((5, 40, 300)),
+                                 letters=rng.choice(("a", "ab", "abc")))
+        trimmed = trim(d)
+        unreachable += trimmed.states < d.states
+        assert minimize(d) == minimize(trimmed)
+    assert unreachable > 100
