@@ -16,7 +16,6 @@ import functools
 import json
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from typing import Optional, Sequence, Union
 
 from .covers import guarded_decomposition, pgcov_cover
@@ -313,6 +312,9 @@ def cmd_batch(args: argparse.Namespace) -> int:
 
     workers = args.workers if args.workers else (os.cpu_count() or 1)
     if workers > 1 and len(cases) > 1:
+        # imported here: the pool machinery costs more to import than the rest of cli
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(run, cases))
     else:

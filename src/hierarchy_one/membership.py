@@ -197,7 +197,9 @@ def check_pol_group_plus(m: SyntacticMorphism, order: OrderRelation, rel: PairRe
 _ENTRY_CAP = 1 << 20
 
 # Sweeps of at most this many entries are read off whole: deciding one from
-# its classes would take dozens of numpy calls more than that.
+# its classes would take dozens of numpy calls more than that. Longer sweeps
+# build their column classes, and read off their witness, in slabs of about
+# this many entries.
 _WHOLE_SWEEP = 1 << 16
 
 
@@ -212,6 +214,42 @@ def _block_sides(table: np.ndarray, omega: np.ndarray, e: np.ndarray, x: np.ndar
     lhs = table[a[:, :, None], table[y_om, yte][:, None, :]]
     rhs = table[table[a, x[:, None]][:, :, None], table[np.arange(len(table)), y_om][:, None, :]]
     return lhs, rhs
+
+
+def _column_classes(table: np.ndarray, omega: np.ndarray, e: np.ndarray, local: np.ndarray,
+                    ezf: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The column classes of one e block: its i-th e is e[i], local[i, 0, 0]
+    is i and ezf[i, s, f] is e s f. The class of (e, Z, t) is keyed
+    i·n² + c·n + d for (c, d) = ((Zte)^{ω+1}, t (Zte)^ω), and the classes
+    kept are those of each Y = esf. Returns [i, Z, t] -> the index of the
+    class of (e, Z, t), read for Z a Y only, and each class's i, c and d by
+    index. The keys are built in slabs of Z rows of about _WHOLE_SWEEP
+    entries into the one array that then holds the indices, so no
+    whole-block temporary exists."""
+    n = len(table)
+    nn = n * n
+    flat = table.ravel()                     # x·y is flat[x·n + y]
+    is_y = np.zeros((len(e), n), dtype=bool)
+    is_y[local, ezf] = True
+    t_n = np.arange(n) * n
+    step = max(1, _WHOLE_SWEEP // (len(e) * n))
+    slabs = [slice(lo, lo + step) for lo in range(0, n, step)]
+    col = np.empty((len(e), n, n), dtype=np.int32)
+    marks = np.zeros(len(e) * nn, dtype=bool)
+    for z in slabs:
+        zte = flat[table[z] * n + e[:, None, None]]     # Z t e
+        z_om = omega[zte]
+        keys = np.add((flat[z_om * n + zte] + local * n) * n, flat[t_n + z_om], out=col[:, z])
+        marks[keys[is_y[:, z]]] = True
+    v = marks.nonzero()[0]
+    cls = marks.cumsum(dtype=np.int32) - 1   # key of a class -> its index
+    del marks
+    for z in slabs:
+        keys = col[:, z]
+        keys[...] = cls[keys]
+    del cls
+    v_e, v_cd = np.divmod(v, nn)
+    return (col, v_e, *np.divmod(v_cd, n))
 
 
 def _class_sweep(m: SyntacticMorphism, rel: PairRelation, idem: tuple[int, ...],
@@ -231,7 +269,13 @@ def _class_sweep(m: SyntacticMorphism, rel: PairRelation, idem: tuple[int, ...],
     row class failing against it. A block (e, X, Y) fails exactly when a
     column class of Y carries X's bit, and the first violation's (r, t) and
     sides are read off the failing row classes of X and the column classes
-    of Y, so no block is evaluated."""
+    of Y, so no block is evaluated.
+
+    Only one e block's arrays are kept: its ezf, its column classes and the
+    row classes of its e known to hold, O(|M|²) whatever |E(S)| is. A later
+    q group that needs another block rebuilds it; which X hold for good is
+    kept for the whole sweep, one bool per (e, X), so a block whose X all
+    hold is skipped."""
     n = m.element_count
     nn = n * n
     table = np.ascontiguousarray(m.table, dtype=np.int32)
@@ -274,39 +318,23 @@ def _class_sweep(m: SyntacticMorphism, rel: PairRelation, idem: tuple[int, ...],
 
     e_block = min(k, max(1, _ENTRY_CAP // (k * n ** 3)))
     group = max(1, _ENTRY_CAP // (e_block * k * n ** 3))
-    blocks = {}                              # first e of a block -> its arrays, see below
     starts = np.arange(0, k, e_block)        # the first e of each block
+    built = None                             # the first e of the one block kept
     if filtered:
-        held = np.zeros(k * nn, dtype=bool)  # row classes e·n² + a·n + b meeting all of e's
         settled = np.zeros((k, n), dtype=bool)   # [e, X]: every row class of (e, X, r) holds
         e_at = np.arange(0, k * n, n)[:, None, None]                # settled.ravel() offsets
 
-    def class_first(gq, b, x, unset):
+    def class_first(gq, b, block, x, unset):
         """The first failing position of the unit (q in gq, e block b), in
         sweep order and in first_failing's form; x[i, q, f] is X = eqf and
         unset[i, q, f] that X is not settled."""
-        e, local, ezf, classes = blocks[b]
-        if classes is None:
-            # column classes of (e, Z) keyed i·n² + c·n + d; those of each Y = esf
-            # as (e, c, d), [i, Y, t] -> index
-            zte = flat[table * n + e[:, None, None]]      # Z t e
-            z_om = omega[zte]
-            col = (flat[z_om * n + zte] + local * n) * n + flat[np.arange(n) * n + z_om]
-            is_y = np.zeros((len(e), n), dtype=bool)
-            is_y[local, ezf] = True
-            marks = np.zeros(len(e) * nn, dtype=bool)
-            marks[col[is_y]] = True
-            v = marks.nonzero()[0]
-            cls = marks.cumsum(dtype=np.int32) - 1   # key of a class -> its index
-            v_e, v_cd = np.divmod(v, nn)
-            classes = blocks[b][3] = (cls[col], v_e + b, *np.divmod(v_cd, n))
-        cls, v_e, v_c, v_d = classes
+        e, local, ezf, (cls, v_e, v_c, v_d), held = block
         live = np.zeros((len(e), n), dtype=bool)   # [i, X]: an unsettled X of the unit
         live[local, x] = unset
         li, lx = live.nonzero()
         # [live (e, X), r] -> the row class of (e, X, r)
         a = omega[flat[table[lx] * n + e[li, None]]]                      # (Xre)^ω
-        rows = (a + (b + li[:, None]) * n) * np.intp(n) + flat[a * n + lx[:, None]]
+        rows = (a + li[:, None] * n) * np.intp(n) + flat[a * n + lx[:, None]]
         new = ~held[rows]
         if not new.any():                    # every row class of these X holds
             settled[b + li, lx] = True
@@ -350,13 +378,21 @@ def _class_sweep(m: SyntacticMorphism, rel: PairRelation, idem: tuple[int, ...],
             return None
         qi, s, i, j = np.unravel_index(u, cand.shape)
         # the sides a·c and b·d over the row classes (a, b) of X, r in M, and the
-        # column classes (c, d) of Y, t in M; a row class that holds meets them all
+        # column classes (c, d) of Y, t in M, in slabs of r; a row class that
+        # holds meets them all
         p = np.flatnonzero((li == i) & (lx == x[i, qi, j]))[0]
         at = cls[i, ezf[i, s, j]]
-        lhs = flat[a[p][:, None] * n + v_c[at]]
-        rhs = flat[(rows[p] % n)[:, None] * n + v_d[at]]
-        r, t = divmod(int((lhs != rhs).argmax()), n)
-        return int(qi), int(s), b + int(i), int(j), r, t, int(lhs[r, t]), int(rhs[r, t])
+        c, d = v_c[at], v_d[at]
+        step = max(1, _WHOLE_SWEEP // n)
+        for lo in range(0, n, step):
+            lhs = flat[a[p, lo:lo + step, None] * n + c]
+            rhs = flat[(rows[p, lo:lo + step, None] % n) * n + d]
+            h = int((lhs != rhs).argmax())
+            if lhs.flat[h] != rhs.flat[h]:
+                r, t = divmod(h, n)
+                return (int(qi), int(s), b + int(i), int(j), lo + r, t,
+                        int(lhs.flat[h]), int(rhs.flat[h]))
+        return None
 
     for lo in range(0, len(qs), group):
         gq = qs[lo:lo + group]
@@ -370,14 +406,22 @@ def _class_sweep(m: SyntacticMorphism, rel: PairRelation, idem: tuple[int, ...],
             blocks_todo = starts[np.logical_or.reduceat(
                 unset.reshape(k, -1).any(axis=1), starts)].tolist()
         for b in blocks_todo:
-            if b not in blocks:              # [i, z, f] -> ezf for the i-th e of the block
+            if b != built:
+                # the block's e, [i, z, f] -> ezf and, when filtered, the local
+                # indices i of its e, its column classes and held[i·n² + a·n + b]:
+                # the row class (a, b) of its i-th e meets all of that e's column
+                # classes; the last block's arrays are dropped first
+                block = None
                 e = idem[b:b + e_block]
-                blocks[b] = [e, np.arange(len(e), dtype=np.int32)[:, None, None],
-                             table[table[e][:, :, None], idem], None]
+                ezf = table[table[e][:, :, None], idem]
+                if filtered:
+                    local = np.arange(len(e), dtype=np.int32)[:, None, None]
+                    block = (e, local, ezf, _column_classes(table, omega, e, local, ezf),
+                             np.zeros(len(e) * nn, dtype=bool))
+                built = b
             if filtered:
-                found = class_first(gq, b, x_all[b:b + e_block], unset[b:b + e_block])
+                found = class_first(gq, b, block, x_all[b:b + e_block], unset[b:b + e_block])
             else:
-                e, _, ezf, _ = blocks[b]
                 cand = pairs[gq][:, :, None, None] | np.zeros((len(e), k), dtype=bool)
                 found = first_failing(*cand.nonzero(), ezf[:, gq], ezf, b)
             # blocks of one group come in e order, so a tie keeps the earlier

@@ -163,24 +163,6 @@ def syntactic_preorder(m: SyntacticMorphism) -> OrderRelation:
             return OrderRelation(matrix=leq)
 
 
-def preorder_context_scan(m: SyntacticMorphism, context_order: Optional[list[tuple[int, int]]] = None) -> OrderRelation:
-    """Reference preorder by scanning all (x, y) contexts; |M|⁴ work, so only
-    sensible for small monoids (≤ ~200 elements)."""
-    n = m.element_count
-    acc = np.zeros(n, dtype=bool)
-    acc[sorted(m.accepting)] = True
-    contexts = context_order
-    if contexts is None:
-        contexts = [(x, y) for x in range(n) for y in range(n)]
-    leq = np.ones((n, n), dtype=bool)
-    table = m.table
-    for x, y in contexts:
-        # row s of ctx: x·s·y accepted?
-        ctx_acc = acc[table[table[x, :], y]]
-        leq &= ~ctx_acc[:, None] | ctx_acc[None, :]
-    return OrderRelation(matrix=leq)
-
-
 @dataclass(frozen=True)
 class StableInfo:
     """Image sets by word length: sets[l] = α(Aˡ) for l < n0 + p, with

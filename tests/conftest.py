@@ -2,12 +2,14 @@
 
 import os
 import random
+import tracemalloc
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from hierarchy_one.lang import Dfa, minimize
-from hierarchy_one.monoid import transition_monoid
+from hierarchy_one.monoid import OrderRelation, transition_monoid
 
 # pyproject's `pythonpath` puts src/ on this process's path only; export it so
 # that tests starting `python -m hierarchy_one.cli` find the package without
@@ -63,6 +65,35 @@ def kernel_dfa(l_dfa):
         finals=frozenset({m.identity}),
         delta=delta,
     ))
+
+
+def preorder_context_scan(m, context_order=None):
+    """Reference syntactic preorder by scanning all (x, y) contexts: s ≤ t
+    when x·t·y is accepted wherever x·s·y is. |M|⁴ work, so only sensible
+    for small monoids (≤ ~200 elements)."""
+    n = m.element_count
+    acc = np.zeros(n, dtype=bool)
+    acc[sorted(m.accepting)] = True
+    contexts = context_order
+    if contexts is None:
+        contexts = [(x, y) for x in range(n) for y in range(n)]
+    leq = np.ones((n, n), dtype=bool)
+    table = m.table
+    for x, y in contexts:
+        # row s of ctx: x·s·y accepted?
+        ctx_acc = acc[table[table[x, :], y]]
+        leq &= ~ctx_acc[:, None] | ctx_acc[None, :]
+    return OrderRelation(matrix=leq)
+
+
+def traced_peak(fn, *args):
+    """fn(*args) and the peak of the memory traced while it ran, in bytes."""
+    tracemalloc.start()
+    try:
+        value = fn(*args)
+        return value, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def words_up_to(alphabet, max_len):

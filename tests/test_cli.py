@@ -237,6 +237,33 @@ def test_batch_golden_manifest_passes(tmp_path, capsys):
     assert doc["ok"] is True
 
 
+def test_batch_pool_is_imported_only_when_batch_runs_one(tmp_path, monkeypatch):
+    # importing the cli loads no pool machinery; batch --workers 2 still
+    # runs its cases in a process pool
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, hierarchy_one.cli; "
+         "print(any(name.startswith('concurrent') for name in sys.modules))"],
+        capture_output=True, text=True, check=True)
+    assert proc.stdout.strip() == "False"
+
+    import concurrent.futures
+
+    pools = []
+
+    class CountedPool(concurrent.futures.ProcessPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            pools.append(kwargs.get("max_workers"))
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", CountedPool)
+    path = tmp_path / "golden.json"
+    path.write_text(json.dumps(golden_manifest()))
+    assert main(["batch", str(path), "--workers", "2"]) == 0
+    assert pools == [2]
+    assert main(["batch", str(path), "--workers", "1"]) == 0
+    assert pools == [2]
+
+
 def test_batch_flags_wrong_expectations(tmp_path, capsys):
     doc = golden_manifest()
     doc["cases"][0]["expect"] = not doc["cases"][0]["expect"]

@@ -2,7 +2,6 @@
 per-base and per-level loops as oracles."""
 
 import random
-import tracemalloc
 from typing import Optional
 
 import numpy as np
@@ -33,6 +32,7 @@ from tests.conftest import (
     kernel_dfa,
     random_minimal_dfa,
     random_permutation_dfa,
+    traced_peak,
     words_up_to,
 )
 
@@ -349,12 +349,7 @@ def test_largest_cover_stays_within_its_memory_budget():
     # whole 19-word layer built a 3 792-state product (2.7 MB).
     h = compile_dfa("(a|b)*aba(a|b)*", "ab")
     gaps = compile_dfa("((a|b)(a|b)(a|b)(a|b))*", "ab")
-    tracemalloc.start()
-    try:
-        pgcov_cover(h, gaps)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    _, peak = traced_peak(pgcov_cover, h, gaps)
     assert peak < 2_000_000
 
 def test_cover_budget_returns_partial_uncertified():
@@ -516,12 +511,7 @@ def test_long_decomposition_stays_within_its_memory_budget():
     m = _ladder(4)
     assert m.element_count == 31
     word = "".join(random.Random(8642).choices("ab", k=40_000))
-    tracemalloc.start()
-    try:
-        decomposition = guarded_decomposition(m, word)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    decomposition, peak = traced_peak(guarded_decomposition, m, word)
     assert len(decomposition.blocks) == 42  # 40 000 // (31² + 1) levels and the head
     assert peak < 96 * covers._CHUNK_LETTERS
 
@@ -534,10 +524,6 @@ def test_long_verify_stays_within_its_memory_budget(k):
     m = _ladder(k)
     word = "".join(random.Random(8642).choices("ab", k=40_000))
     decomposition = guarded_decomposition(m, word)
-    tracemalloc.start()
-    try:
-        assert decomposition.verify(m, word)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    verified, peak = traced_peak(decomposition.verify, m, word)
+    assert verified
     assert peak < 32 * covers._CHUNK_LETTERS

@@ -7,7 +7,6 @@ share no code with the vectorized checkers.
 
 import random
 import time
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -40,7 +39,7 @@ from hierarchy_one.membership import (
 )
 from hierarchy_one.monoid import syntactic_preorder, transition_monoid
 from hierarchy_one.pairs import amt_pairs, explicit_pairs, group_from_dict, mod_pairs, st_pairs
-from tests.conftest import GOLDEN_VERDICTS
+from tests.conftest import GOLDEN_VERDICTS, traced_peak
 from tests.test_monoid import hand_transition_monoid
 
 
@@ -697,18 +696,76 @@ def test_nth_letter_from_end_is_dot_depth_one_in_seconds(k):
     assert elapsed < 5.0
     # the sweep's arrays and temporaries stay within 16 cap-sized byte
     # buffers; one unit spanning the whole sweep would take hundreds of MB
-    tracemalloc.start()
-    try:
-        check_bpol_group_plus(m, rel)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    _, peak = traced_peak(check_bpol_group_plus, m, rel)
     assert peak < 16 * membership._ENTRY_CAP
     if k == 4:
         assert check_specialized(m, EQ_KNAST).member
     else:
         # Pol(ST+) ⊆ BPol(ST+)
         assert check_pol_group_plus(m, syntactic_preorder(m), rel).member
+
+
+def test_gone_peak_stays_within_five_tables():
+    # the column classes of the one e are built in slabs of Z rows into one
+    # int32 [Z, t] array; built whole, their index temporaries took 6.8 MB
+    m = nth_letter_from_end(8)
+    n = m.element_count
+    assert n == 511
+    verdict, peak = traced_peak(check_bpol_group, m, st_pairs(m))
+    assert not verdict.member
+    assert peak < 5 * n * n * 4
+
+
+def test_wgone_peak_does_not_grow_with_the_idempotents():
+    # |E(S)| = 128 e blocks, of which the sweep keeps one; keeping every
+    # block's column classes and row classes took 60.7 MB
+    m = nth_letter_from_end(7)
+    n = m.element_count
+    assert (n, len(m.idempotents_s)) == (255, 128)
+    verdict, peak = traced_peak(check_bpol_group_plus, m, st_pairs(m))
+    assert verdict.member
+    assert peak < 16 * n * n * 4
+
+
+def counted_column_classes(monkeypatch):
+    """Patch membership._column_classes to record the e of each block built."""
+    built = []
+    column_classes = membership._column_classes
+
+    def counted(table, omega, e, *args):
+        built.append(tuple(e.tolist()))
+        return column_classes(table, omega, e, *args)
+
+    monkeypatch.setattr(membership, "_column_classes", counted)
+    return built
+
+
+def test_wgone_builds_each_e_block_once_on_a_ladder(monkeypatch):
+    # |M| = 127: one e per block, and every q group after the first finds its
+    # blocks settled or the block it needs still built
+    m = nth_letter_from_end(6)
+    built = counted_column_classes(monkeypatch)
+    for rel in (st_pairs(m), mod_pairs(m)):
+        built.clear()
+        assert check_bpol_group_plus(m, rel).member
+        assert built == [(e,) for e in m.idempotents_s]
+
+
+def test_revisited_e_blocks_are_rebuilt(morphism_corpus, monkeypatch):
+    # one q and one e per unit: a later q whose X are not yet settled needs
+    # e blocks again, and a rebuilt block starts with no row class known to
+    # hold; the first violation stays the block loop's
+    cases = [(m, rel, loop_wgone(m, rel)) for _, m in morphism_corpus[:40]
+             for rel in (st_pairs(m), mod_pairs(m))]
+    monkeypatch.setattr(membership, "_WHOLE_SWEEP", 0)
+    monkeypatch.setattr(membership, "_ENTRY_CAP", 1)
+    built = counted_column_classes(monkeypatch)
+    rebuilt = 0
+    for m, rel, expected in cases:
+        built.clear()
+        assert check_bpol_group_plus(m, rel) == expected
+        rebuilt += len(built) > len(m.idempotents_s)
+    assert rebuilt >= 5
 
 
 def test_bpol_checks_hold_over_an_empty_alphabet():

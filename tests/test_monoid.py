@@ -3,7 +3,6 @@
 import itertools
 import json
 import random
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,12 +12,11 @@ from hierarchy_one.lang import Dfa, compile_dfa, minimize
 from hierarchy_one.monoid import (
     is_group,
     monoid_to_dict,
-    preorder_context_scan,
     stable_sequence,
     syntactic_preorder,
     transition_monoid,
 )
-from tests.conftest import random_minimal_dfa
+from tests.conftest import preorder_context_scan, random_minimal_dfa, traced_peak
 
 
 def hand_transition_monoid(d):
@@ -204,12 +202,7 @@ def test_preorder_stays_within_a_few_tables_of_memory():
     m = transition_monoid(ladder_dfa(7))
     n = m.element_count
     assert n == 255
-    tracemalloc.start()
-    try:
-        syntactic_preorder(m)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    _, peak = traced_peak(syntactic_preorder, m)
     assert peak < 6 * n * n
 
 

@@ -9,7 +9,6 @@ import itertools
 import json
 import random
 import re
-import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 
@@ -41,7 +40,7 @@ from hierarchy_one.pairs import (
     st_pairs,
     trivial_group,
 )
-from tests.conftest import random_minimal_dfa
+from tests.conftest import random_minimal_dfa, traced_peak
 
 
 def monoid_of(pattern, alphabet):
@@ -197,12 +196,7 @@ def test_mod_pairs_peak_stays_within_two_bytes_per_table_entry():
     m = ladder(9)
     n = m.element_count
     assert n == 1023
-    tracemalloc.start()
-    try:
-        mod_pairs(m)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    _, peak = traced_peak(mod_pairs, m)
     assert peak <= 2 * n * n
 
 
@@ -258,13 +252,13 @@ def test_amt_pairs_are_exact_at_small_budgets():
 def test_amt_coset_count_past_the_budget_raises_with_stage_and_count():
     m = monoid_of("(a|b)*a(a|b)(a|b)(a|b)(a|b)", "ab")   # |M| = 63
     total = sum(len(found) for found in _parikh_cosets(m, UNITS_AB, 10**9))
-    tracemalloc.start()
-    try:
+
+    def over_budget():
         with pytest.raises(BudgetError) as info:
             amt_pairs(m, node_budget=10)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+        return info
+
+    info, peak = traced_peak(over_budget)
     match = re.fullmatch(r"construction exceeded the node budget \(10\) at stage AMT cosets: "
                          r"monoid with 63 elements, (\d+) cosets found", str(info.value))
     assert match, str(info.value)
