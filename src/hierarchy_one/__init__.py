@@ -55,7 +55,6 @@ from .membership import (
     ViolationWitness,
     check_bpol_group,
     check_bpol_group_plus,
-    check_pol,
     check_pol_group,
     check_pol_group_plus,
     check_specialized,

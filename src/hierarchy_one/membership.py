@@ -2,19 +2,20 @@
 
 Each checker sweeps its equation over the monoid and reports the first
 violation in lexicographic sweep order — (q, s) pairs outermost (sorted),
-then idempotents (e, f), then the inner (r, t) plane, which is evaluated as
-one vectorized block so early exits stay cheap. GONE is WGONE with
+then idempotents (e, f), then the inner (r, t) plane. GONE is WGONE with
 e = f = 1, and both run one class sweep: their sides factor into a row
-class of (e, X = eqf, r) and a column class of (e, Y = esf, t); a row class
-that meets every column class of its e holds for good, and a long sweep
-decides each block (e, X, Y) from which row classes fail against which
-column classes, without evaluating the block. Likewise POLG is POLGP with
-e = 1, and both run one Pol sweep. Every refutation is built in one place,
-`_violation`. A verdict's witness can be re-derived: its words evaluate to
-its elements, and the equation sides recompute from the elements alone.
+class of (e, X = eqf, r) and a column class of (e, Y = esf, t). A sweep of
+pairs · |E|² · |M|² ≤ _WHOLE_SWEEP entries is read off whole by
+`_whole_sweep`, which evaluates each distinct block (e, X, Y) once. A longer
+one is decided by `_class_walk` from its classes: a row class that meets
+every column class of its e holds for good, and each block is decided from
+which row classes fail against which column classes, without evaluating
+it. Likewise POLG is POLGP with e = 1, and both run one Pol sweep. Every
+refutation is built in one place, `_violation`. A verdict's witness can be
+re-derived: its words evaluate to its elements, and the equation sides
+recompute from the elements alone.
 
 Equation tags:
-  POLC   x^{ω+1} ≤ x^ω y x^ω            (generic polynomial closure)
   POLG   1 ≤ s                           (polynomial closure, group base)
   POLGP  e ≤ e s e                       (group base, with empty-word split)
   GONE   (qr)^ω (st)^{ω+1} = (qr)^ω q t (st)^ω
@@ -48,7 +49,6 @@ from .pairs import (
     st_pairs,
 )
 
-EQ_POLC = "POLC"
 EQ_POLG = "POLG"
 EQ_POLGP = "POLGP"
 EQ_GONE = "GONE"
@@ -57,7 +57,7 @@ EQ_SIMON = "SIMON"
 EQ_KNAST = "KNAST"
 EQ_GRBPOL = "GRBPOL"
 
-_ORDERED = {EQ_POLC, EQ_POLG, EQ_POLGP}  # these compare by ≤, the rest by =
+_ORDERED = {EQ_POLG, EQ_POLGP}  # these compare by ≤, the rest by =
 
 
 @dataclass(frozen=True)
@@ -101,7 +101,10 @@ def _omega_all(m: SyntacticMorphism) -> np.ndarray:
 
 
 def _distinct(x: np.ndarray) -> np.ndarray:
-    """np.unique(x) at under half the cost of a call, for tiny monoids."""
+    """np.unique(x) for the class walk's fresh row class keys: sorting a copy
+    and keeping the first of each run beat np.unique at every size tried
+    (numpy 2.4.6, best of 2000 on random int64 keys: 2.2 against 4.4 µs at
+    20 keys, 5.3 against 39 µs at 511, 40 against 426 µs at 5 000)."""
     x = x.flatten()
     x.sort()
     keep = np.empty(len(x), dtype=bool)
@@ -138,26 +141,6 @@ def _violation(m: SyntacticMorphism, equation: str, elements: dict[str, int], lh
     return Verdict(False, equation, ViolationWitness(elements, words, int(lhs), int(rhs)))
 
 
-def check_pol(m: SyntacticMorphism, order: OrderRelation, rel: PairRelation) -> Verdict:
-    """POLC: x^{ω+1} ≤ x^ω y x^ω for every pair (x, y) — reported as (s, t)."""
-    table = np.asarray(m.table)
-    omega = _omega_all(m)
-    leq = order.matrix
-    for s in range(m.element_count):
-        ts = np.nonzero(rel.matrix[s])[0]
-        if len(ts) == 0:
-            continue
-        e = int(omega[s])
-        lhs = int(table[e, s])
-        rhs = table[table[e, ts], e]
-        bad = np.nonzero(~leq[lhs, rhs])[0]
-        if len(bad):
-            t = int(ts[bad[0]])
-            return _violation(m, EQ_POLC, {"s": s, "t": t}, lhs, rhs[bad[0]],
-                              dict(zip("st", _pair_words(m, rel, s, t))))
-    return Verdict(True, EQ_POLC)
-
-
 def _pol_sweep(m: SyntacticMorphism, order: OrderRelation, rel: PairRelation,
                idem: tuple[int, ...], equation: str) -> Verdict:
     """e ≤ e s e for every e in `idem` and pair (1, s), as one [e, s] block
@@ -192,8 +175,8 @@ def check_pol_group_plus(m: SyntacticMorphism, order: OrderRelation, rel: PairRe
     return _pol_sweep(m, order, rel, m.idempotents_s, EQ_POLGP)
 
 
-# Entries of a class sweep unit or a KNAST or Pol sweep block: temporaries of a
-# few tens of MB.
+# Entries of a KNAST or Pol sweep block, and the (r, t) entries that one unit of
+# the class walk stands for (see _class_walk): temporaries of a few tens of MB.
 _ENTRY_CAP = 1 << 20
 
 # Sweeps of at most this many entries are read off whole: deciding one from
@@ -252,17 +235,46 @@ def _column_classes(table: np.ndarray, omega: np.ndarray, e: np.ndarray, local: 
     return (col, v_e, *np.divmod(v_cd, n))
 
 
-def _class_sweep(m: SyntacticMorphism, rel: PairRelation, idem: tuple[int, ...],
-                 equation: str) -> Verdict:
-    """(Xre)^ω (Yte)^{ω+1} = (Xre)^ω X t (Yte)^ω with X = eqf and Y = esf,
-    for every pair (q, s) with q ≠ s, e, f in `idem` and r, t in M, swept
-    in the order q, s, e, f, r, t; the Verdict holds its first violation.
+def _whole_sweep(table: np.ndarray, omega: np.ndarray, idem: np.ndarray,
+                 pairs: np.ndarray) -> Optional[tuple[int, ...]]:
+    """The first violation of a sweep of at most _WHOLE_SWEEP entries, read
+    off whole: every position (q, s, e, f) in sweep order, its block
+    (e, X = eqf, Y = esf) evaluated once however many positions share it."""
+    n, k = len(table), len(idem)
+    ezf = table[table[idem][:, :, None], idem]           # [e index, z, f index] -> e z f
+    q, s, i, j = np.broadcast_to(pairs[:, :, None, None], (n, n, k, k)).nonzero()
+    blk = (i, ezf[i, q, j], ezf[i, s, j])                # (e index, X, Y)
+    seen = np.zeros((k, n, n), dtype=bool)
+    seen[blk] = True
+    i_b, x_b, y_b = seen.nonzero()
+    at = np.empty(seen.shape, dtype=np.int32)
+    at[i_b, x_b, y_b] = np.arange(len(i_b))
+    at = at[blk]                                         # position -> its distinct block
+    lhs, rhs = (side.reshape(len(i_b), -1)[at]
+                for side in _block_sides(table, omega, idem[i_b], x_b, y_b))
+    h = int((lhs != rhs).argmax())
+    if lhs.flat[h] == rhs.flat[h]:
+        return None
+    u, rt = divmod(h, n * n)
+    return (int(q[u]), int(s[u]), int(i[u]), int(j[u]), *divmod(rt, n),
+            int(lhs.flat[h]), int(rhs.flat[h]))
 
-    The sweep is walked in units, a group of q times a block of e with at
-    most _ENTRY_CAP entries. A sweep of at most _WHOLE_SWEEP entries reads
-    each distinct block (e, X, Y) of a unit off whole. A longer one is
-    decided from its classes: a row class of (e, X, r) meets every column
-    class of its e (those of every Y = esf) or fails, once and for all.
+
+def _class_walk(table: np.ndarray, omega: np.ndarray, idem: np.ndarray,
+                pairs: np.ndarray) -> Optional[tuple[int, ...]]:
+    """The first violation of a sweep longer than _WHOLE_SWEEP, decided from
+    its classes: a row class of (e, X, r) meets every column class of its e
+    (those of every Y = esf) or fails, once and for all.
+
+    The sweep is walked in units, a group of q times a block of e, sized so
+    that the (r, t) entries of a unit's positions (q, s, e, f), which the
+    walk never builds, stay within _ENTRY_CAP: e_block · |E| · |M|³ and
+    group · e_block · |E| · |M|³ are at most _ENTRY_CAP, or the group and
+    block are one q and one e. What the walk does build per unit is the
+    [i, q, s, f] grid of its positions, |M|² times smaller, and the arrays
+    of one e block, e_block · |M|² entries; the fail relation is folded in
+    chunks of at most _ENTRY_CAP entries.
+
     Each unit evaluates its row classes not yet known to hold against the
     column classes of their e, and folds that fail relation into bits: a
     column class carries the bit of each unsettled X of the unit that has a
@@ -276,58 +288,21 @@ def _class_sweep(m: SyntacticMorphism, rel: PairRelation, idem: tuple[int, ...],
     q group that needs another block rebuilds it; which X hold for good is
     kept for the whole sweep, one bool per (e, X), so a block whose X all
     hold is skipped."""
-    n = m.element_count
+    n, k = len(table), len(idem)
     nn = n * n
-    table = np.ascontiguousarray(m.table, dtype=np.int32)
     flat = table.ravel()                     # x·y is flat[x·n + y]
-    omega = _omega_all(m)
-    idem = np.asarray(idem, dtype=np.int32)
-    k = len(idem)
-    pairs = np.array(rel.matrix, dtype=bool)
-    # (q, q) cannot violate: eqfre ends and eqfte starts with the idempotent
-    # e, which the ω-powers absorb, so both sides equal (eqfre)^ω q f t (eqfte)^ω.
-    np.fill_diagonal(pairs, False)
     qs = pairs.any(axis=1).nonzero()[0]
-    if len(qs) == 0:                         # also when S, and with it idem, is empty
-        return Verdict(True, equation)
-    filtered = int(pairs.sum()) * k * k * nn > _WHOLE_SWEEP
-
-    def first_failing(qi, s, i, j, x, ezf, b):
-        """The first position (q index, s, e index - b, f index), in sweep order,
-        whose block fails, as (q index, s, e index, f index, r, t, lhs, rhs)."""
-        step = max(1, _WHOLE_SWEEP // nn)
-        for lo in range(0, len(qi), step):
-            w = slice(lo, lo + step)
-            blk = (i[w], x[i[w], qi[w], j[w]], ezf[i[w], s[w], j[w]])   # (e, X, Y)
-            seen = np.zeros(ezf.shape[:1] + (n, n), dtype=bool)
-            seen[blk] = True
-            i_b, x_b, y_b = seen.nonzero()
-            at = np.empty(seen.shape, dtype=np.int32)
-            at[i_b, x_b, y_b] = np.arange(len(i_b))
-            at = at[blk]
-            lhs, rhs = _block_sides(table, omega, idem[b + i_b], x_b, y_b)
-            neq = (lhs != rhs).reshape(len(i_b), -1)
-            hit = neq.any(axis=1)[at]
-            if hit.any():
-                u = at[hit.argmax()]
-                h = lo + int(hit.argmax())
-                r, t = divmod(int(neq[u].argmax()), n)
-                return (int(qi[h]), int(s[h]), b + int(i[h]), int(j[h]), r, t,
-                        int(lhs[u, r, t]), int(rhs[u, r, t]))
-        return None
-
     e_block = min(k, max(1, _ENTRY_CAP // (k * n ** 3)))
     group = max(1, _ENTRY_CAP // (e_block * k * n ** 3))
     starts = np.arange(0, k, e_block)        # the first e of each block
     built = None                             # the first e of the one block kept
-    if filtered:
-        settled = np.zeros((k, n), dtype=bool)   # [e, X]: every row class of (e, X, r) holds
-        e_at = np.arange(0, k * n, n)[:, None, None]                # settled.ravel() offsets
+    settled = np.zeros((k, n), dtype=bool)   # [e, X]: every row class of (e, X, r) holds
+    e_at = np.arange(0, k * n, n)[:, None, None]                # settled.ravel() offsets
 
     def class_first(gq, b, block, x, unset):
         """The first failing position of the unit (q in gq, e block b), in
-        sweep order and in first_failing's form; x[i, q, f] is X = eqf and
-        unset[i, q, f] that X is not settled."""
+        sweep order, as (q index in gq, s, e index, f index, r, t, lhs, rhs);
+        x[i, q, f] is X = eqf and unset[i, q, f] that X is not settled."""
         e, local, ezf, (cls, v_e, v_c, v_d), held = block
         live = np.zeros((len(e), n), dtype=bool)   # [i, X]: an unsettled X of the unit
         live[local, x] = unset
@@ -397,45 +372,60 @@ def _class_sweep(m: SyntacticMorphism, rel: PairRelation, idem: tuple[int, ...],
     for lo in range(0, len(qs), group):
         gq = qs[lo:lo + group]
         first = None                         # the group's first failing position
-        blocks_todo = starts.tolist()
-        if filtered:
-            # [e, q, f] -> X = eqf and whether it may still fail; a block of e
-            # whose X all hold is skipped
-            x_all = table[table[idem[:, None], gq][..., None], idem]
-            unset = ~settled.ravel()[x_all + e_at]
-            blocks_todo = starts[np.logical_or.reduceat(
-                unset.reshape(k, -1).any(axis=1), starts)].tolist()
-        for b in blocks_todo:
+        # [e, q, f] -> X = eqf and whether it may still fail; a block of e
+        # whose X all hold is skipped
+        x_all = table[table[idem[:, None], gq][..., None], idem]
+        unset = ~settled.ravel()[x_all + e_at]
+        todo = np.logical_or.reduceat(unset.reshape(k, -1).any(axis=1), starts)
+        for b in starts[todo].tolist():
             if b != built:
-                # the block's e, [i, z, f] -> ezf and, when filtered, the local
-                # indices i of its e, its column classes and held[i·n² + a·n + b]:
-                # the row class (a, b) of its i-th e meets all of that e's column
-                # classes; the last block's arrays are dropped first
+                # the block's e, the local indices i of its e, [i, z, f] -> ezf,
+                # its column classes and held[i·n² + a·n + b]: the row class
+                # (a, b) of its i-th e meets all of that e's column classes;
+                # the last block's arrays are dropped first
                 block = None
                 e = idem[b:b + e_block]
+                local = np.arange(len(e), dtype=np.int32)[:, None, None]
                 ezf = table[table[e][:, :, None], idem]
-                if filtered:
-                    local = np.arange(len(e), dtype=np.int32)[:, None, None]
-                    block = (e, local, ezf, _column_classes(table, omega, e, local, ezf),
-                             np.zeros(len(e) * nn, dtype=bool))
+                block = (e, local, ezf, _column_classes(table, omega, e, local, ezf),
+                         np.zeros(len(e) * nn, dtype=bool))
                 built = b
-            if filtered:
-                found = class_first(gq, b, block, x_all[b:b + e_block], unset[b:b + e_block])
-            else:
-                cand = pairs[gq][:, :, None, None] | np.zeros((len(e), k), dtype=bool)
-                found = first_failing(*cand.nonzero(), ezf[:, gq], ezf, b)
+            found = class_first(gq, b, block, x_all[b:b + e_block], unset[b:b + e_block])
             # blocks of one group come in e order, so a tie keeps the earlier
             if found is not None and (first is None or found[:2] < first[:2]):
                 first = found
             if first is not None and first[:2] == (0, int(pairs[gq[0]].argmax())):
                 break                        # no later block comes first
         if first is not None:
-            qi, s, i, j, r, t, lhs, rhs = first
-            q, e, f = int(gq[qi]), int(idem[i]), int(idem[j])
-            elements = dict(zip("qrst" + "ef" * (equation == EQ_WGONE), (q, r, s, t, e, f)))
-            return _violation(m, equation, elements, lhs, rhs,
-                              dict(zip("qs", _pair_words(m, rel, q, s))))
-    return Verdict(True, equation)
+            return (int(gq[first[0]]), *first[1:])
+    return None
+
+
+def _class_sweep(m: SyntacticMorphism, rel: PairRelation, idem: tuple[int, ...],
+                 equation: str) -> Verdict:
+    """(Xre)^ω (Yte)^{ω+1} = (Xre)^ω X t (Yte)^ω with X = eqf and Y = esf,
+    for every pair (q, s) with q ≠ s, e, f in `idem` and r, t in M, swept
+    in the order q, s, e, f, r, t; the Verdict holds its first violation.
+    A sweep of at most _WHOLE_SWEEP entries is read off whole
+    (_whole_sweep), a longer one decided from its classes (_class_walk)."""
+    n = m.element_count
+    table = np.ascontiguousarray(m.table, dtype=np.int32)
+    idem = np.asarray(idem, dtype=np.int32)
+    pairs = np.array(rel.matrix, dtype=bool)
+    # (q, q) cannot violate: eqfre ends and eqfte starts with the idempotent
+    # e, which the ω-powers absorb, so both sides equal (eqfre)^ω q f t (eqfte)^ω.
+    np.fill_diagonal(pairs, False)
+    if not pairs.any():                      # also when S, and with it idem, is empty
+        return Verdict(True, equation)
+    whole = int(pairs.sum()) * len(idem) ** 2 * n * n <= _WHOLE_SWEEP
+    first = (_whole_sweep if whole else _class_walk)(table, _omega_all(m), idem, pairs)
+    if first is None:
+        return Verdict(True, equation)
+    q, s, i, j, r, t, lhs, rhs = first
+    e, f = int(idem[i]), int(idem[j])
+    elements = dict(zip("qrst" + "ef" * (equation == EQ_WGONE), (q, r, s, t, e, f)))
+    return _violation(m, equation, elements, lhs, rhs,
+                      dict(zip("qs", _pair_words(m, rel, q, s))))
 
 
 def check_bpol_group(m: SyntacticMorphism, rel: PairRelation) -> Verdict:
@@ -544,10 +534,6 @@ def recompute_sides(m: SyntacticMorphism, equation: str,
     """Re-derive both equation sides from a witness's element assignment."""
     t_ = m.mul
     om = m.omega
-    if equation == EQ_POLC:
-        s, t = elements["s"], elements["t"]
-        e = om(s)
-        return t_(e, s), t_(t_(e, t), e)
     if equation == EQ_POLG:
         return m.identity, elements["s"]
     if equation == EQ_POLGP:
@@ -679,17 +665,29 @@ GR_UNSUPPORTED = ("unsupported: GR-pairs not computable in this tool; the GR bas
                   "is only decidable here as BPol(GR): use level=bpol without plus")
 
 
+def _basis_key(basis: TyUnion[str, GroupPresentation]) -> Optional[str]:
+    """A string basis in lower case, or None for a GroupPresentation; a
+    string that names none of BASES raises."""
+    if not isinstance(basis, str):
+        return None
+    key = basis.lower()
+    if key not in BASES:
+        raise UsageError(f"basis must be one of {BASES} or a GroupPresentation")
+    return key
+
+
 def pair_relation(m: SyntacticMorphism, basis: TyUnion[str, GroupPresentation],
                   node_budget: Optional[int] = None) -> PairRelation:
-    """The pair relation of `basis` ("st" | "mod" | "amt" or a
+    """The pair relation of `basis` ("st" | "mod" | "amt", in any case, or a
     GroupPresentation) on `m`. GR pairs are not computable: "gr" raises."""
-    if basis == "st":
+    key = _basis_key(basis)
+    if key == "st":
         return st_pairs(m)
-    if basis == "mod":
+    if key == "mod":
         return mod_pairs(m)
-    if basis == "amt":
+    if key == "amt":
         return amt_pairs(m, node_budget=node_budget)
-    if basis == "gr":
+    if key == "gr":
         raise UsageError(GR_UNSUPPORTED)
     return group_morphism_pairs(m, basis)
 
@@ -717,9 +715,7 @@ def decide(
     level = level.lower()
     if level not in _LEVELS:
         raise UsageError(f"level must be pol or bpol, got {level!r}")
-    basis_key = basis.lower() if isinstance(basis, str) else None
-    if basis_key is not None and basis_key not in BASES:
-        raise UsageError(f"basis must be one of {BASES} or a GroupPresentation")
+    basis_key = _basis_key(basis)
     if basis_key == "gr" and (level != "bpol" or plus):
         raise UsageError(GR_UNSUPPORTED)  # before any work: these need GR pairs
 
@@ -742,7 +738,7 @@ def decide(
         verdict = _check_grbpol(m)
         basis_tag = "GR"
     else:
-        rel = pair_relation(m, basis_key or basis, node_budget=budget)
+        rel = pair_relation(m, basis, node_budget=budget)
         certified = rel.certified
         pair_count = rel.count
         basis_tag = rel.basis

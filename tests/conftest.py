@@ -86,6 +86,19 @@ def preorder_context_scan(m, context_order=None):
     return OrderRelation(matrix=leq)
 
 
+def polc_holds(m, order, rel):
+    """POLC, the generic polynomial-closure inequation x^{ω+1} ≤ x^ω y x^ω
+    for every pair (x, y), one x at a time: over a group base it answers
+    what POLG does, so it is POLG's oracle."""
+    table = np.asarray(m.table)
+    for x in range(m.element_count):
+        ys = np.nonzero(rel.matrix[x])[0]
+        e = m.omega(x)
+        if len(ys) and not order.matrix[table[e, x], table[table[e, ys], e]].all():
+            return False
+    return True
+
+
 def traced_peak(fn, *args):
     """fn(*args) and the peak of the memory traced while it ran, in bytes."""
     tracemalloc.start()

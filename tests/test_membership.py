@@ -19,7 +19,6 @@ from hierarchy_one.membership import (
     EQ_GONE,
     EQ_GRBPOL,
     EQ_KNAST,
-    EQ_POLC,
     EQ_POLG,
     EQ_POLGP,
     EQ_SIMON,
@@ -29,17 +28,17 @@ from hierarchy_one.membership import (
     ViolationWitness,
     check_bpol_group,
     check_bpol_group_plus,
-    check_pol,
     check_pol_group,
     check_pol_group_plus,
     check_specialized,
     class_name,
     decide,
+    pair_relation,
     verify_witness,
 )
 from hierarchy_one.monoid import syntactic_preorder, transition_monoid
 from hierarchy_one.pairs import amt_pairs, explicit_pairs, group_from_dict, mod_pairs, st_pairs
-from tests.conftest import GOLDEN_VERDICTS, traced_peak
+from tests.conftest import GOLDEN_VERDICTS, polc_holds, traced_peak
 from tests.test_monoid import hand_transition_monoid
 
 
@@ -244,14 +243,15 @@ def test_ordered_equation_forms_agree_on_the_trivial_base(morphism_corpus):
     for _, m in morphism_corpus[:40]:
         order = syntactic_preorder(m)
         rel = st_pairs(m)
-        assert check_pol(m, order, rel).member == check_pol_group(m, order, rel).member
+        assert polc_holds(m, order, rel) == check_pol_group(m, order, rel).member
 
 
 def test_pol_results_carry_equation_tags(morphism_corpus):
     _, m = morphism_corpus[0]
     order = syntactic_preorder(m)
     rel = st_pairs(m)
-    assert check_pol(m, order, rel).equation == EQ_POLC
+    assert check_pol_group(m, order, rel).equation == EQ_POLG
+    assert check_pol_group_plus(m, order, rel).equation == EQ_POLGP
     assert check_bpol_group_plus(m, rel).equation == EQ_WGONE
 
 
@@ -649,6 +649,53 @@ def test_filtered_sweep_matches_the_block_loops_on_the_corpus(corpus_sweeps, mon
     assert first_q > 600        # violations in the first q, where the walk exits early
 
 
+def takes_whole_sweep(m, rel, idem):
+    """Whether the class sweep of `rel` over `idem` is read off whole: it has
+    a pair (q, s) with q ≠ s and at most _WHOLE_SWEEP entries."""
+    pairs = np.array(rel.matrix, dtype=bool)
+    np.fill_diagonal(pairs, False)
+    entries = int(pairs.sum()) * len(idem) ** 2 * m.element_count ** 2
+    return 0 < entries <= membership._WHOLE_SWEEP
+
+
+@pytest.mark.parametrize("cap", ["default", "one q and one e"])
+def test_whole_sweep_evaluates_its_blocks_in_one_call(corpus_sweeps, monkeypatch, cap):
+    # a sweep read off whole evaluates every distinct block in one
+    # _block_sides call, whatever the class walk's unit sizes: sparse
+    # relations on the ladders span up to |M| q, one walk unit each
+    rng = random.Random(7741)
+    cases = []
+    for k, counts in ((5, (3, 16)), (6, (2, 4))):         # |M| = 63 and 127
+        m = nth_letter_from_end(k)
+        n = m.element_count
+        for count in counts:
+            rel = explicit_pairs(m, [divmod(x, n) for x in rng.sample(range(n * n), count)
+                                     if x % (n + 1)])     # no (q, q)
+            cases.append((m, rel, (m.identity,), check_bpol_group, loop_gone(m, rel)))
+    for m, rel, gone, wgone in corpus_sweeps:
+        cases.append((m, rel, (m.identity,), check_bpol_group, gone))
+        cases.append((m, rel, m.idempotents_s, check_bpol_group_plus, wgone))
+    if cap != "default":
+        monkeypatch.setattr(membership, "_ENTRY_CAP", 1)
+    calls = []
+    block_sides = membership._block_sides
+
+    def counted(*args):
+        calls.append(args)
+        return block_sides(*args)
+
+    monkeypatch.setattr(membership, "_block_sides", counted)
+    whole = 0
+    for m, rel, idem, check, expected in cases:
+        calls.clear()
+        assert check(m, rel) == expected
+        if takes_whole_sweep(m, rel, idem):
+            assert len(calls) == 1
+            whole += 1
+    assert whole > 600
+    assert all(takes_whole_sweep(m, rel, idem) for m, rel, idem, *_ in cases[:4])
+
+
 def test_filtered_sweep_evaluates_no_block(monkeypatch):
     # members decided from the class fail relation alone, and a non-member's
     # first violation read off its classes: no block's sides are computed
@@ -801,7 +848,7 @@ def test_all_refutations_replay(morphism_corpus):
     for _, m in morphism_corpus[:60]:
         order = syntactic_preorder(m)
         rel = st_pairs(m)
-        for verdict in (check_pol(m, order, rel), check_pol_group(m, order, rel),
+        for verdict in (check_pol_group(m, order, rel),
                         check_pol_group_plus(m, order, rel),
                         check_bpol_group(m, rel), check_bpol_group_plus(m, rel),
                         check_specialized(m, EQ_SIMON),
@@ -875,6 +922,16 @@ def test_usage_validation():
         decide("(aa)*", "a", basis="frob")
     with pytest.raises(UsageError):
         decide("(aa)*")  # pattern without an alphabet
+
+
+def test_pair_relation_reads_string_bases_in_any_case():
+    m = transition_monoid(minimize(compile_dfa("(aa)*", "a")))
+    for basis in ("st", "mod", "amt"):
+        lower, upper = pair_relation(m, basis), pair_relation(m, basis.upper())
+        assert (upper.basis, upper.matrix.tolist()) == (lower.basis, lower.matrix.tolist())
+    for basis in ("xyz", "", "GR"):
+        with pytest.raises(UsageError):
+            pair_relation(m, basis)
 
 
 def test_small_budget_letter_count_verdicts_are_exact():
