@@ -165,70 +165,64 @@ def explore(
 
 # --- compilation -----------------------------------------------------------
 
-class _Nfa:
-    """Thompson-style NFA under construction: epsilon edges + letter edges."""
+def _position_automaton(
+    pattern: Pattern, alphabet: tuple[str, ...]
+) -> tuple[list[int], list[int], int]:
+    """The position automaton (Glushkov 1961) of `pattern`, as node masks.
 
-    def __init__(self, n_letters: int):
-        self.n_letters = n_letters
-        self.eps: list[list[int]] = []
-        self.edges: list[list[tuple[int, int]]] = []  # (letter, target)
+    Node 0 is the start and node i ≥ 1 the i-th letter of the pattern, left
+    to right. Returns `(follow, of_letter, accepting)`: `follow[i]` is the
+    set of positions that may come right after node i (for the start, those
+    a word may begin with), `of_letter[a]` the positions labelled
+    `alphabet[a]`, and `accepting` the nodes a word may end at. There are no
+    ε-moves: node i steps on letter a to `follow[i] & of_letter[a]`."""
+    letter_index = {sym: a for a, sym in enumerate(alphabet)}
+    of_letter = [0] * len(alphabet)
+    follow = [0]
 
-    def node(self) -> int:
-        self.eps.append([])
-        self.edges.append([])
-        return len(self.eps) - 1
+    def link(last: int, first: int) -> None:
+        while first and last:
+            low = last & -last
+            last ^= low
+            follow[low.bit_length() - 1] |= first
 
-    def fragment(self, p: Pattern, letter_index: Mapping[str, int]) -> tuple[int, int]:
-        start, out = self.node(), self.node()
+    def walk(p: Pattern) -> tuple[bool, int, int]:
+        """(nullable, first, last) of `p`: whether it matches the empty word,
+        and the positions its words may begin and end with."""
         if isinstance(p, Empty):
-            pass  # no path from start to out
-        elif isinstance(p, Epsilon):
-            self.eps[start].append(out)
-        elif isinstance(p, Letter):
-            self.edges[start].append((letter_index[p.symbol], out))
-        elif isinstance(p, Concat):
-            prev = start
+            return False, 0, 0
+        if isinstance(p, Epsilon):
+            return True, 0, 0
+        if isinstance(p, Letter):
+            if p.symbol not in letter_index:
+                raise AlphabetError(f"symbol {p.symbol!r} not in alphabet {alphabet!r}")
+            bit = 1 << len(follow)
+            follow.append(0)
+            of_letter[letter_index[p.symbol]] |= bit
+            return False, bit, bit
+        if isinstance(p, Concat):
+            nullable, first, last = True, 0, 0
             for part in p.parts:
-                s, o = self.fragment(part, letter_index)
-                self.eps[prev].append(s)
-                prev = o
-            self.eps[prev].append(out)
-        elif isinstance(p, Union):
+                n, f, l = walk(part)
+                link(last, f)
+                first |= f if nullable else 0
+                last = last | l if n else l
+                nullable = nullable and n
+            return nullable, first, last
+        if isinstance(p, Union):
+            nullable, first, last = False, 0, 0
             for part in p.parts:
-                s, o = self.fragment(part, letter_index)
-                self.eps[start].append(s)
-                self.eps[o].append(out)
-        elif isinstance(p, Star):
-            s, o = self.fragment(p.child, letter_index)
-            self.eps[start].extend((s, out))
-            self.eps[o].extend((s, out))
-        elif isinstance(p, Plus):
-            s, o = self.fragment(p.child, letter_index)
-            self.eps[start].append(s)
-            self.eps[o].extend((s, out))
-        else:
-            raise TypeError(f"not a pattern node: {p!r}")
-        return start, out
+                n, f, l = walk(part)
+                nullable, first, last = nullable or n, first | f, last | l
+            return nullable, first, last
+        if isinstance(p, (Star, Plus)):
+            nullable, first, last = walk(p.child)
+            link(last, first)
+            return nullable or isinstance(p, Star), first, last
+        raise TypeError(f"not a pattern node: {p!r}")
 
-    def closure(self, states: Iterable[int]) -> frozenset[int]:
-        seen = set(states)
-        stack = list(seen)
-        while stack:
-            q = stack.pop()
-            for t in self.eps[q]:
-                if t not in seen:
-                    seen.add(t)
-                    stack.append(t)
-        return frozenset(seen)
-
-    def steps(self) -> list[list[int]]:
-        """`steps[a][q]`: the ε-closure of the targets of q's letter-a edges,
-        as a node mask. Closures are taken once per letter edge."""
-        steps = [[0] * len(self.eps) for _ in range(self.n_letters)]
-        for q, edges in enumerate(self.edges):
-            for a, t in edges:
-                steps[a][q] |= node_mask(self.closure([t]))
-        return steps
+    nullable, follow[0], last = walk(pattern)
+    return follow, of_letter, last | nullable
 
 
 def node_mask(nodes: Iterable[int]) -> int:
@@ -253,8 +247,8 @@ def determinize(
     union of its nodes' steps. Subsets are numbered by `explore` from
     `initial`; a subset is final when it meets `accepting`."""
     # moves[q]: q's nonempty steps as (letter, targets). `compress` skips
-    # the empty ones in C, so a Thompson NFA costs one Python step per
-    # letter edge here, not one per node and letter.
+    # the empty ones in C, so a sparse automaton costs one Python step per
+    # nonempty step here, not one per node and letter.
     moves: list[list[tuple[int, int]]] = [[] for _ in steps[0]] if steps else []
     for a, step in enumerate(steps):
         for q in compress(range(len(step)), step):
@@ -286,21 +280,20 @@ def compile_dfa(
     alphabet: TyUnion[str, Iterable[str]],
     state_budget: Optional[int] = None,
 ) -> Dfa:
-    """Compile a pattern to a complete DFA via subset construction.
+    """Compile a pattern to a complete DFA: the subset construction over
+    its position automaton.
 
-    Raises BudgetError if the subset construction would exceed the state
+    Raises AlphabetError if an AST letter is not in the alphabet, and
+    BudgetError if the subset construction would exceed the state
     budget (default 2**16, overridable via HIERARCHY_ONE_BUDGET).
     """
     alpha = normalize_alphabet(alphabet)
     if isinstance(pattern, str):
         pattern = parse_pattern(pattern, alpha)
     budget = state_budget if state_budget is not None else budget_from_env(DEFAULT_STATE_BUDGET)
-    letter_index = {sym: i for i, sym in enumerate(alpha)}
-
-    nfa = _Nfa(len(alpha))
-    start, out = nfa.fragment(pattern, letter_index)
-    return determinize(alpha, nfa.steps(), node_mask(nfa.closure([start])), 1 << out, budget,
-                       stage=f"subset construction: NFA with {len(nfa.eps)} nodes")
+    follow, of_letter, accepting = _position_automaton(pattern, alpha)
+    return determinize(alpha, [[f & mask for f in follow] for mask in of_letter], 1, accepting,
+                       budget, stage=f"subset construction: NFA with {len(follow)} nodes")
 
 
 # --- minimization ----------------------------------------------------------

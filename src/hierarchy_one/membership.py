@@ -33,9 +33,9 @@ from typing import Optional, Union as TyUnion
 
 import numpy as np
 
-from .errors import UsageError
+from .errors import AlphabetError, UsageError
 from .lang.dfa import Dfa, compile_dfa, minimize
-from .lang.patterns import Pattern, pattern_to_text
+from .lang.patterns import Pattern, normalize_alphabet, pattern_to_text
 from .monoid import OrderRelation, SyntacticMorphism, syntactic_preorder, transition_monoid
 from .pairs import (
     BASIS_AMT,
@@ -705,7 +705,8 @@ def decide(
     """Decide membership of a language in Pol/BPol over a group base.
 
     `source` is a pattern (text or AST; requires `alphabet`) or a complete
-    DFA. `basis` is "st" | "mod" | "amt" | "gr" or a GroupPresentation.
+    DFA; an `alphabet` given with a DFA must be the DFA's, in any order,
+    or AlphabetError is raised. `basis` is "st" | "mod" | "amt" | "gr" or a GroupPresentation.
     GR only supports level="bpol" without plus: every other class needs
     GR pairs, which `pair_relation` cannot compute. `budget`, when given,
     caps every stage: DFA states, monoid elements and AMT cosets; each
@@ -720,6 +721,9 @@ def decide(
         raise UsageError(GR_UNSUPPORTED)  # before any work: these need GR pairs
 
     if isinstance(source, Dfa):
+        if alphabet is not None and (given := normalize_alphabet(alphabet)) != source.alphabet:
+            raise AlphabetError(f"alphabet mismatch: {given!r} given for a DFA over "
+                                f"{source.alphabet!r}")
         dfa = minimize(source)
         text = label if label is not None else "<dfa>"
     else:

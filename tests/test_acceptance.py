@@ -250,6 +250,9 @@ def test_criterion_7_hierarchy_sanity(morphism_corpus):
                 if pol.member and not bpol.member:
                     violations.append(f"[{idx}] {name} pol>{'+' if plus else ''} "
                                       f"member but bpol refused")
+            for level in ("pol", "bpol"):
+                if members[(name, level, False)] and not members[(name, level, True)]:
+                    violations.append(f"[{idx}] {name} {level} member but {level}+ refused")
         for level in ("pol", "bpol"):
             for plus in (False, True):
                 if members[("st", level, plus)] and not members[("mod", level, plus)]:

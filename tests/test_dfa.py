@@ -411,6 +411,6 @@ def test_state_budget_is_enforced():
 
 def test_state_budget_error_names_stage_and_size():
     with pytest.raises(BudgetError, match=r"budget \(10\) at stage subset construction: "
-                       r"NFA with 54 nodes, 10 states found, 5 expanded$"):
+                       r"NFA with 18 nodes, 10 states found, 5 expanded$"):
         compile_dfa("(a|b)*a(a|b)(a|b)(a|b)(a|b)(a|b)(a|b)(a|b)", "ab",
                     state_budget=10)

@@ -1,5 +1,6 @@
 """Differential tests for `explore`, the one breadth-first construction loop,
-and for `determinize`, the one subset construction.
+for `determinize`, the one subset construction, and for `compile_dfa`'s
+position automaton.
 
 Before `explore`, each construction ran its own queue-and-index loop. Those
 loops are kept below as oracles: the subset construction, the product, the
@@ -12,6 +13,13 @@ Before `determinize`, `compile_dfa` and `up_arrow` each passed `explore` a
 successor function of their own, recomputing ε-closures or copy/state
 splits per subset and letter. Those successor functions are kept below as
 oracles too.
+
+Before the position automaton, `compile_dfa` determinized a Thompson ε-NFA.
+That NFA is kept below as the compile oracles' automaton. A letter edge's
+target is entered by no other edge, so each subset it reaches is the
+ε-closure of the letters just read: the same subsets as the position
+automaton's, numbered alike. The oracles name the same node count, the
+pattern's letters plus a start node.
 """
 
 import json
@@ -24,8 +32,9 @@ import pytest
 
 from hierarchy_one.errors import BudgetError
 from hierarchy_one.lang import Dfa, combine, compile_dfa, minimize, normalize_alphabet
-from hierarchy_one.lang.dfa import _OPS, _Nfa, explore
-from hierarchy_one.lang.patterns import parse_pattern, pattern_to_text
+from hierarchy_one.lang.dfa import _OPS, explore
+from hierarchy_one.lang.patterns import (
+    Concat, Empty, Epsilon, Letter, Plus, Star, Union, parse_pattern, pattern_to_text)
 from hierarchy_one.covers import pgcov_cover, up_arrow
 from hierarchy_one.monoid import transition_monoid
 from tests.conftest import random_minimal_dfa, random_permutation_dfa
@@ -39,6 +48,70 @@ def ladder(k):
     return "(a|b)*a" + "(a|b)" * k
 
 
+# --- the Thompson NFA `compile_dfa` determinized before, kept as an oracle ----
+
+
+class _Nfa:
+    """Thompson-style NFA under construction: epsilon edges + letter edges."""
+
+    def __init__(self):
+        self.eps = []
+        self.edges = []  # (letter, target)
+
+    def node(self):
+        self.eps.append([])
+        self.edges.append([])
+        return len(self.eps) - 1
+
+    def fragment(self, p, letter_index):
+        start, out = self.node(), self.node()
+        if isinstance(p, Empty):
+            pass  # no path from start to out
+        elif isinstance(p, Epsilon):
+            self.eps[start].append(out)
+        elif isinstance(p, Letter):
+            self.edges[start].append((letter_index[p.symbol], out))
+        elif isinstance(p, Concat):
+            prev = start
+            for part in p.parts:
+                s, o = self.fragment(part, letter_index)
+                self.eps[prev].append(s)
+                prev = o
+            self.eps[prev].append(out)
+        elif isinstance(p, Union):
+            for part in p.parts:
+                s, o = self.fragment(part, letter_index)
+                self.eps[start].append(s)
+                self.eps[o].append(out)
+        elif isinstance(p, Star):
+            s, o = self.fragment(p.child, letter_index)
+            self.eps[start].extend((s, out))
+            self.eps[o].extend((s, out))
+        elif isinstance(p, Plus):
+            s, o = self.fragment(p.child, letter_index)
+            self.eps[start].append(s)
+            self.eps[o].extend((s, out))
+        else:
+            raise TypeError(f"not a pattern node: {p!r}")
+        return start, out
+
+    def closure(self, states):
+        seen = set(states)
+        stack = list(seen)
+        while stack:
+            q = stack.pop()
+            for t in self.eps[q]:
+                if t not in seen:
+                    seen.add(t)
+                    stack.append(t)
+        return frozenset(seen)
+
+    def stage(self):
+        """The subset construction's stage name, counting one node per
+        letter edge and a start node, as the position automaton does."""
+        return f"subset construction: NFA with {sum(map(len, self.edges)) + 1} nodes"
+
+
 # --- the loops `explore` replaced, kept as oracles -----------------------------
 
 
@@ -46,7 +119,7 @@ def loop_compile_dfa(pattern, alphabet, budget):
     alpha = normalize_alphabet(alphabet)
     if isinstance(pattern, str):
         pattern = parse_pattern(pattern, alpha)
-    nfa = _Nfa(len(alpha))
+    nfa = _Nfa()
     start, out = nfa.fragment(pattern, {sym: i for i, sym in enumerate(alpha)})
     initial = nfa.closure([start])
     index = {initial: 0}
@@ -63,8 +136,7 @@ def loop_compile_dfa(pattern, alphabet, budget):
                 if len(index) >= budget:
                     raise BudgetError(
                         f"subset construction exceeded the state budget ({budget}) at stage "
-                        f"subset construction: NFA with {len(nfa.eps)} nodes, "
-                        f"{len(order)} states found, {len(delta_rows)} expanded")
+                        f"{nfa.stage()}, {len(order)} states found, {len(delta_rows)} expanded")
                 index[nxt] = len(order)
                 order.append(nxt)
                 queue.append(nxt)
@@ -213,7 +285,7 @@ def explore_compile_dfa(pattern, alphabet, budget):
     alpha = normalize_alphabet(alphabet)
     if isinstance(pattern, str):
         pattern = parse_pattern(pattern, alpha)
-    nfa = _Nfa(len(alpha))
+    nfa = _Nfa()
     start, out = nfa.fragment(pattern, {sym: i for i, sym in enumerate(alpha)})
 
     def successors(subset):
@@ -223,8 +295,7 @@ def explore_compile_dfa(pattern, alphabet, budget):
             row.append(nfa.closure(move) if move else frozenset())
         return row
 
-    order, rows = explore(nfa.closure([start]), successors, budget,
-                          stage=f"subset construction: NFA with {len(nfa.eps)} nodes")
+    order, rows = explore(nfa.closure([start]), successors, budget, stage=nfa.stage())
     finals = frozenset(i for i, subset in enumerate(order) if out in subset)
     return Dfa(alphabet=alpha, states=len(order), initial=0, finals=finals, delta=rows)
 
@@ -427,6 +498,12 @@ def test_subset_construction_equals_the_successor_it_replaced():
     assert ("((a|b)(a|b)(a|b)(a|b))*", "ab") in patterns
     for pattern, alphabet in patterns:
         assert compile_dfa(pattern, alphabet) == explore_compile_dfa(pattern, alphabet, 1 << 16)
+    edges = [("_", ""), ("%", ""), ("%*", "ab"), ("(%)+", "ab"), ("a%|_", "ab"), ("((_)*)+", "a")]
+    for pattern, alphabet in edges:
+        for budget in (1, 1 << 16):
+            want = outcome(explore_compile_dfa, pattern, alphabet, budget)
+            assert outcome(compile_dfa, pattern, alphabet, budget) == want, (pattern, budget)
+            assert outcome(loop_compile_dfa, pattern, alphabet, budget) == want, (pattern, budget)
 
 
 def test_up_arrow_equals_the_successor_it_replaced():

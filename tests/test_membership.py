@@ -7,14 +7,16 @@ share no code with the vectorized checkers.
 
 import random
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from hierarchy_one import membership
-from hierarchy_one.errors import UsageError
+from hierarchy_one.errors import AlphabetError, UsageError
 from hierarchy_one.lang import Dfa, combine, compile_dfa, minimize
 from hierarchy_one.lang.dfa import dfa_from_dict
+from hierarchy_one.lang.patterns import Concat, Letter
 from hierarchy_one.membership import (
     EQ_GONE,
     EQ_GRBPOL,
@@ -922,6 +924,23 @@ def test_usage_validation():
         decide("(aa)*", "a", basis="frob")
     with pytest.raises(UsageError):
         decide("(aa)*")  # pattern without an alphabet
+
+
+def test_ast_letters_outside_the_alphabet_are_alphabet_errors():
+    for ast, alphabet, symbol in ((Concat((Letter("a"), Letter("c"))), "ab", "c"),
+                                  (Letter("c"), "ab", "c"), (Letter("A"), "ab", "A"),
+                                  (Letter("a"), "", "a")):
+        for call in (compile_dfa, decide):
+            with pytest.raises(AlphabetError, match=f"symbol '{symbol}' not in alphabet"):
+                call(ast, alphabet)
+
+
+def test_decide_rejects_an_alphabet_other_than_the_dfas():
+    dfa = minimize(compile_dfa("(ab)*", "ab"))
+    for alphabet in ("abc", "a", ""):
+        with pytest.raises(AlphabetError, match="alphabet mismatch"):
+            decide(dfa, alphabet)
+    assert replace(decide(dfa, "ba"), elapsed_s=0) == replace(decide(dfa), elapsed_s=0)
 
 
 def test_pair_relation_reads_string_bases_in_any_case():
