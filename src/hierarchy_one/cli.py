@@ -161,7 +161,6 @@ def cmd_decide(args: argparse.Namespace) -> int:
 
 def cmd_analyze(args: argparse.Namespace) -> int:
     dfa, m = _morphism(args)
-    order = syntactic_preorder(m)
     info = stable_sequence(m)
     perm = is_permutation_automaton(dfa)
     print(f"{args.input}")
@@ -178,7 +177,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         _write_json(args.json, {
             "input": args.input,
             "dfa": dfa_to_dict(dfa),
-            "monoid": monoid_to_dict(m, order),
+            "monoid": monoid_to_dict(m, syntactic_preorder(m)),  # only the report reads it
             "group_language": perm,
             "stable": {"threshold": info.threshold, "period": info.period},
         })

@@ -3,8 +3,9 @@
 `up_arrow(L, w)` builds L a₁ L a₂ ⋯ aₙ L — the words obtained by stuffing
 words of L between the letters of w. When L is a group language containing
 the empty word, finitely many such languages cover any regular H:
-`pgcov_cover` picks base words greedily (shortest first) and certifies the
-result by automaton inclusion. `guarded_decomposition` cuts a long word into
+`pgcov_cover` picks base words greedily (shortest first), takes each
+layer's up-arrows out of what is left of H, and certifies the result once
+nothing is left. `guarded_decomposition` cuts a long word into
 blocks linked by idempotents that absorb the neighbouring block images.
 """
 
@@ -15,27 +16,28 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import DEFAULT_STATE_BUDGET, UsageError, budget_from_env
+from .errors import DEFAULT_STATE_BUDGET, AlphabetError, UsageError, budget_from_env
 from .lang.dfa import (
     Dfa,
     combine,
     determinize,
-    empty_dfa,
-    includes,
+    is_empty,
     is_permutation_automaton,
     minimize,
     node_mask,
     words_of_length,
 )
-# transition_monoid has no caller here; the benchmark tracer
-# (perfbench/spans.py) wraps it in this namespace too.
+# includes and transition_monoid have no caller here; the benchmark tracer
+# (perfbench/spans.py) wraps them in this namespace too.
+from .lang.dfa import includes  # noqa: F401
 from .monoid import SyntacticMorphism, transition_monoid  # noqa: F401
 
 DEFAULT_COVER_BUDGET = 256
-# Up-arrows per balanced union tree; each tree's union then joins the covered
-# language. A tree over a whole layer of the 119-base benchmark cover ended
-# in a 3 792-state product of two unrelated halves (2.7 MB traced peak); with
-# 8 arrows per tree no product passes 1 185 states (1.2 MB).
+# Up-arrows per balanced union tree; each tree's union is then taken out of
+# the uncovered language. A tree over a whole layer of the 119-base
+# benchmark cover ended in a 3 792-state product of two unrelated halves
+# (2.7 MB traced peak); with 8 arrows per tree no product passes 1 335
+# states (1.0 MB).
 _MERGE_WIDTH = 8
 
 
@@ -63,8 +65,9 @@ def up_arrow(l_dfa: Dfa, word: str, state_budget: Optional[int] = None) -> Dfa:
 @dataclass(frozen=True)
 class CoverResult:
     """A finite cover of H by up-arrow languages of L: entries pair each base
-    word with its automaton. `certified` means the union was re-verified to
-    include H (False when the base budget ran out first)."""
+    word with its automaton. `certified` means no word of H was left outside
+    the arrows and each base lies in H and its own arrow (False when the
+    base budget ran out first)."""
 
     entries: tuple[tuple[str, Dfa], ...]
     certified: bool
@@ -97,43 +100,41 @@ def pgcov_cover(
     As ε ∈ L, the words of ↑w are at least |w| long and ↑w holds no other
     word of length |w|. So the greedy choice takes every uncovered word of
     the shortest uncovered length, in alphabet order, before any longer
-    one: the loop runs once per length layer, listing the layer's words in
-    one search and merging their up-arrows into the covered language in
-    balanced trees of `_MERGE_WIDTH`."""
+    one: the loop runs once per length layer. It keeps one automaton, the
+    words of H that no chosen arrow holds yet; its shortest word gives the
+    layer's length, one search lists the layer, and the layer's up-arrows,
+    merged in balanced trees of `_MERGE_WIDTH`, are taken out of it."""
     budget = max_bases if max_bases is not None else DEFAULT_COVER_BUDGET
     h_min = minimize(h_dfa)
     l_min = minimize(l_dfa)
+    if h_min.alphabet != l_min.alphabet:
+        raise AlphabetError(f"alphabet mismatch: {h_min.alphabet!r} vs {l_min.alphabet!r}")
     if not is_permutation_automaton(l_min):
         raise UsageError("the gap language must be a group language "
                          "(its minimal automaton must be a permutation automaton)")
     if l_min.initial not in l_min.finals:
         raise UsageError("the gap language must contain the empty word")
 
-    covered = empty_dfa(h_min.alphabet)
+    left = h_min  # the words of H that no chosen up-arrow holds yet
     entries: list[tuple[str, Dfa]] = []
-    certified = False
-    while True:
-        ok, gap = includes(covered, h_min)
-        if ok:
-            certified = True
-            break
+    while (gap := is_empty(left)) is not None:
         room = budget - len(entries)
         if room <= 0:
             break
         # One word past the room tells a cut inside the layer from one at its end.
-        layer = words_of_length(combine(h_min, covered, "difference"), len(gap), room + 1)
+        layer = words_of_length(left, len(gap), room + 1)
         arrows = [up_arrow(l_min, w) for w in layer[:room]]
         entries.extend(zip(layer, arrows))
         if len(layer) > room:
             break
         for first in range(0, len(arrows), _MERGE_WIDTH):
             group = _union(arrows[first: first + _MERGE_WIDTH])
-            covered = minimize(combine(covered, group, "union"))
+            left = minimize(combine(left, group, "difference"))
 
-    # The loop stops certified only once `includes(covered, h_min)` held;
+    # Nothing of H is left uncovered only when the loop ran out of gaps;
     # what is left to check is that each base word lies in H and its ↑.
-    if certified:
-        certified = all(h_min.accepts(w) and arrow.accepts(w) for w, arrow in entries)
+    certified = gap is None and all(
+        h_min.accepts(w) and arrow.accepts(w) for w, arrow in entries)
     return CoverResult(entries=tuple(entries), certified=certified)
 
 

@@ -594,8 +594,9 @@ _CLASS_NAMES = {
 }
 
 
-def class_name(basis: str, level: str, plus: bool) -> str:
-    """Human-readable name of the decided class."""
+def class_name(basis: TyUnion[str, GroupPresentation], level: str, plus: bool) -> str:
+    """Human-readable name of the decided class; a GroupPresentation is named
+    by its `name`, as `Report.basis` names it."""
     key = (basis.lower() if isinstance(basis, str) else "custom", level.lower(), plus)
     if key in _CLASS_NAMES:
         return _CLASS_NAMES[key]
@@ -603,7 +604,7 @@ def class_name(basis: str, level: str, plus: bool) -> str:
         # keep user-chosen group names as given; uppercase only the built-ins
         tag = basis if basis.startswith("CUSTOM:") else basis.upper()
     else:
-        tag = f"CUSTOM:{basis}"
+        tag = f"CUSTOM:{basis.name}"
     return f"{'Pol' if level.lower() == 'pol' else 'BPol'}({tag}{'+' if plus else ''})"
 
 

@@ -106,10 +106,16 @@ def explicit_pairs(
     pairs: Iterable[tuple[int, int]],
     witnesses: Optional[Mapping[tuple[int, int], tuple[str, str]]] = None,
 ) -> PairRelation:
-    """Wrap an explicitly given pair set (falls back to element witnesses)."""
+    """Wrap an explicitly given pair set (falls back to element witnesses).
+
+    Each pair must name two elements 0 ≤ s, t < |M|, or ValueError is
+    raised. The set is taken as given: it need not be symmetric or
+    reflexive."""
     n = m.element_count
     matrix = np.zeros((n, n), dtype=bool)
     for s, t in pairs:
+        if not (0 <= s < n and 0 <= t < n):
+            raise ValueError(f"pair {(s, t)!r} names an element outside 0..{n - 1} (|M| = {n})")
         matrix[s, t] = True
     given = dict(witnesses) if witnesses else {}
     words = m.witness

@@ -145,6 +145,19 @@ def test_analyze_summarizes_monoid(tmp_path, capsys):
     assert doc["group_language"] is False
 
 
+def test_analyze_builds_the_preorder_only_for_the_json_report(tmp_path, capsys, monkeypatch):
+    from hierarchy_one import cli
+
+    calls = []
+    real = cli.syntactic_preorder
+    monkeypatch.setattr(cli, "syntactic_preorder", lambda m: calls.append(m) or real(m))
+    assert main(["analyze", "--alphabet", "ab", "(ab)*"]) == 0
+    assert calls == []
+    assert main(["analyze", "--alphabet", "ab", "(ab)*", "--json", str(tmp_path / "a.json")]) == 0
+    assert len(calls) == 1
+    capsys.readouterr()
+
+
 def test_pairs_lists_relation(tmp_path, capsys):
     out = tmp_path / "p.json"
     assert main(["pairs", "--alphabet", "a", "--basis", "mod", "(aa)*",

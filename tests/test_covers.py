@@ -2,6 +2,7 @@
 per-base and per-level loops as oracles."""
 
 import random
+import re
 from typing import Optional
 
 import numpy as np
@@ -17,7 +18,7 @@ from hierarchy_one.covers import (
     pgcov_cover,
     up_arrow,
 )
-from hierarchy_one.errors import BudgetError, UsageError
+from hierarchy_one.errors import AlphabetError, BudgetError, UsageError
 from hierarchy_one.lang import (
     Dfa,
     combine,
@@ -268,8 +269,9 @@ def test_random_covers_are_certified_and_antichain():
 
 def test_largest_cover_is_certified_with_119_bases():
     # `(a|b)*aba(a|b)*` with length-mod-4 gaps: 119 bases in 7 length
-    # layers, each one inclusion check, one word listing and one union of
-    # its up-arrows, over products of up to ~1200 states.
+    # layers, each one emptiness check and one word listing of the
+    # uncovered language, then differences with the unions of its
+    # up-arrows, over products of up to ~1300 states.
     res = pgcov_cover(compile_dfa("(a|b)*aba(a|b)*", "ab"),
                       compile_dfa("((a|b)(a|b)(a|b)(a|b))*", "ab"))
     assert res.certified
@@ -357,6 +359,29 @@ def test_cover_budget_returns_partial_uncertified():
                       max_bases=1)
     assert not res.certified
     assert len(res.entries) == 1
+
+
+def test_empty_target_is_certified_with_no_bases():
+    res = pgcov_cover(compile_dfa("%", "ab"), compile_dfa("((a|b)(a|b))*", "ab"))
+    assert res == CoverResult(entries=(), certified=True)
+
+
+def test_empty_word_target_has_the_one_base_of_the_empty_word():
+    gaps = compile_dfa("((a|b)(a|b))*", "ab")
+    res = pgcov_cover(compile_dfa("_", "ab"), gaps)
+    assert res.certified
+    assert res.base_words() == ("",)
+    assert equivalent(res.entries[0][1], gaps)
+
+
+def test_cover_rejects_gaps_over_another_alphabet_before_any_arrow(monkeypatch):
+    calls = []
+    monkeypatch.setattr(covers, "up_arrow", lambda *args: calls.append(args))
+    gaps = compile_dfa("(aa)*", "a")
+    for target in ("%", "b", "a"):
+        with pytest.raises(AlphabetError, match=re.escape("alphabet mismatch: ('a', 'b') vs ('a',)")):
+            pgcov_cover(compile_dfa(target, "ab"), gaps)
+    assert calls == []
 
 
 def test_cover_preconditions():

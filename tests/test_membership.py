@@ -39,7 +39,14 @@ from hierarchy_one.membership import (
     verify_witness,
 )
 from hierarchy_one.monoid import syntactic_preorder, transition_monoid
-from hierarchy_one.pairs import amt_pairs, explicit_pairs, group_from_dict, mod_pairs, st_pairs
+from hierarchy_one.pairs import (
+    amt_pairs,
+    cyclic_length_group,
+    explicit_pairs,
+    group_from_dict,
+    mod_pairs,
+    st_pairs,
+)
 from tests.conftest import GOLDEN_VERDICTS, polc_holds, traced_peak
 from tests.test_monoid import hand_transition_monoid
 
@@ -895,6 +902,11 @@ def test_class_names():
     assert class_name("mod", "bpol", True) == "BSigma1(<, +1, MOD) (BPol(MOD+))"
     assert class_name("amt", "pol", True) == "Pol(AMT+)"
     assert class_name("CUSTOM:z3", "bpol", False) == "BPol(CUSTOM:z3)"
+    # a GroupPresentation is named as the report of the same decide call names it
+    group = cyclic_length_group(3, "ab")
+    report = decide("(a|b)*a", "ab", basis=group, level="bpol")
+    assert class_name(group, "bpol", False) == "BPol(CUSTOM:length-mod-3)"
+    assert class_name(group, "bpol", False) == class_name(report.basis, "bpol", False)
 
 
 # --- decide() contract ------------------------------------------------------------

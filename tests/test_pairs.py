@@ -389,6 +389,14 @@ def test_explicit_pairs_round_trip():
     assert rel.witness_for(0, 0) == ("", "")  # element-word fallback
 
 
+def test_explicit_pairs_reject_elements_outside_the_monoid():
+    m = monoid_of("(aa)*", "a")  # |M| = 2
+    for pair in ((-1, 0), (0, 99), (2, 0)):
+        with pytest.raises(ValueError, match=re.escape(f"pair {pair!r}") + ".*[|]M[|] = 2"):
+            explicit_pairs(m, [(0, 0), pair])
+    assert explicit_pairs(m, [(1, 0)]).pairs_set() == {(1, 0)}  # asymmetric, not reflexive
+
+
 # --- the join and the witness hook against the per-basis oracles -------------
 
 S3_DOC = json.loads(
