@@ -19,14 +19,7 @@ import sys
 from typing import Optional, Sequence, Union
 
 from .covers import guarded_decomposition, pgcov_cover
-from .errors import (
-    AlphabetError,
-    BUDGET_ENV_VAR,
-    BudgetError,
-    PatternError,
-    UsageError,
-    positive_budget,
-)
+from .errors import BUDGET_ENV_VAR, BudgetError, UsageError, positive_budget
 from .lang.dfa import (
     Dfa,
     compile_dfa,
@@ -36,7 +29,7 @@ from .lang.dfa import (
     minimize,
 )
 from .lang.patterns import normalize_alphabet
-from .membership import BASES, Report, class_name, decide, pair_relation
+from .membership import BASES, Base, Report, base_of, class_name, decide, pair_relation
 from .monoid import (
     SyntacticMorphism,
     is_group,
@@ -80,20 +73,14 @@ def _load_language(text: str, alphabet: Optional[str], base_dir: str = ".",
     return compile_dfa(text, alphabet, state_budget=budget)
 
 
-def _resolve_basis(text: str, base_dir: str = ".") -> Union[str, GroupPresentation]:
+def _resolve_basis(text: str, base_dir: str = ".") -> Union[Base, GroupPresentation]:
+    """The group a group:<file.json> loads, relative to `base_dir`, or the Base of `text`."""
     text = text.strip()
-    low = text.lower()
-    if low in BASES:
-        return low
-    if low.startswith("group:"):
-        path = text[len("group:"):]
-        if not os.path.isabs(path):
-            path = os.path.join(base_dir, path)
-        with open(path, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
-        return group_from_dict(data, name=os.path.splitext(os.path.basename(path))[0])
-    raise UsageError(
-        f"unknown basis {text!r}: use st, mod, amt, gr, or group:<file.json>")
+    if not text.lower().startswith("group:"):
+        return base_of(text)
+    path = os.path.join(base_dir, text[len("group:"):])   # an absolute path stays itself
+    with open(path, "r", encoding="utf-8") as fh:
+        return group_from_dict(json.load(fh), name=os.path.splitext(os.path.basename(path))[0])
 
 
 def _morphism(args: argparse.Namespace) -> tuple[Dfa, SyntacticMorphism]:
@@ -288,7 +275,7 @@ def _batch_case(case: dict, base_dir: str, budget: Optional[int]) -> dict:
     out = {"error": None, "member": None}
     try:
         report = _decide(case["input"], case.get("alphabet"), case.get("basis", "st"),
-                         case.get("level", "bpol"), bool(case.get("plus", False)),
+                         case.get("level", "bpol"), case.get("plus", False),
                          budget, base_dir=base_dir)
         out["member"] = report.member
         out["class"] = class_name(report.basis, report.level, report.plus)
@@ -297,15 +284,23 @@ def _batch_case(case: dict, base_dir: str, budget: Optional[int]) -> dict:
     return out
 
 
+# The JSON type each optional case field must have when present.
+_CASE_FIELDS = {"plus": bool, "expect": bool, "basis": str, "level": str, "alphabet": str}
+
+
 def cmd_batch(args: argparse.Namespace) -> int:
     with open(args.manifest, "r", encoding="utf-8") as fh:
         manifest = json.load(fh)
     cases = manifest.get("cases")
     if not isinstance(cases, list):
         raise UsageError('manifest must be an object with a "cases" list')
-    for case in cases:
+    for i, case in enumerate(cases):
         if not isinstance(case, dict) or "input" not in case:
             raise UsageError('every case needs at least an "input" field')
+        for key, kind in _CASE_FIELDS.items():
+            if key in case and not isinstance(case[key], kind):
+                want = "true or false" if kind is bool else "a string"
+                raise UsageError(f"case {i}: {key!r} must be {want}, got {case[key]!r}")
     run = functools.partial(_batch_case, budget=args.budget,
                             base_dir=os.path.dirname(os.path.abspath(args.manifest)))
 
@@ -327,11 +322,10 @@ def cmd_batch(args: argparse.Namespace) -> int:
             status, detail = "ERROR", result["error"]
         elif expect is None:
             status, detail = "DONE", got
-        elif bool(expect) == result["member"]:
+        elif expect == result["member"]:
             status, detail = "PASS", got
         else:
-            status = "FAIL"
-            detail = f"expected {'member' if expect else 'non-member'}, got {got}"
+            status, detail = "FAIL", f"expected {'member' if expect else 'non-member'}, got {got}"
         rows.append((status, case, result, detail))
 
     width = max((len(str(c.get("input", ""))) for c in cases), default=5)
@@ -365,7 +359,7 @@ def _add_common(sub: argparse.ArgumentParser, *, basis: bool = False,
                      "(required for pattern input)")
     if basis:
         sub.add_argument("--basis", default="st",
-                         help="st | mod | amt | gr | group:<file.json> "
+                         help=f"{' | '.join(BASES)} | group:<file.json> "
                          "(default: st)")
     if level:
         sub.add_argument("--level", choices=("pol", "bpol"), default="bpol",
@@ -445,16 +439,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except SystemExit as exc:
         return EXIT_ERROR if exc.code else EXIT_OK
     try:
-        if args.budget is not None:
-            positive_budget(args.budget, "--budget")
+        positive_budget(args.budget, "--budget")
         return args.func(args)
-    except (UsageError, PatternError, AlphabetError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_ERROR
     except BudgetError as exc:
         print(f"budget exceeded: {exc}", file=sys.stderr)
         return EXIT_ERROR
-    except (OSError, json.JSONDecodeError, ValueError) as exc:
+    except (OSError, ValueError) as exc:     # usage, pattern, alphabet and JSON errors too
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
 

@@ -30,9 +30,9 @@ class UsageError(ValueError):
     """A request combines options that the decision procedures do not support."""
 
 
-def positive_budget(value: int, source: str) -> int:
-    """`value` if it is a usable budget; UsageError naming `source` if not."""
-    if value <= 0:
+def positive_budget(value: int | None, source: str) -> int | None:
+    """`value` if it is None or a usable budget; UsageError naming `source` if not."""
+    if value is not None and value <= 0:
         raise UsageError(f"{source} must be positive, got {value}")
     return value
 

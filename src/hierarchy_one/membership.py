@@ -29,11 +29,11 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Optional, Union as TyUnion
+from typing import Callable, Optional, Union as TyUnion
 
 import numpy as np
 
-from .errors import AlphabetError, UsageError
+from .errors import AlphabetError, UsageError, positive_budget
 from .lang.dfa import Dfa, compile_dfa, minimize
 from .lang.patterns import Pattern, normalize_alphabet, pattern_to_text
 from .monoid import OrderRelation, SyntacticMorphism, syntactic_preorder, transition_monoid
@@ -584,28 +584,59 @@ def verify_witness(m: SyntacticMorphism, verdict: Verdict,
 # --- the decision pipeline --------------------------------------------------
 
 _LEVELS = ("pol", "bpol")
-BASES = ("st", "mod", "amt", "gr")
 
-_CLASS_NAMES = {
-    ("st", "bpol", False): "piecewise testable (BPol(ST))",
-    ("st", "bpol", True): "dot-depth one (BPol(ST+))",
-    ("mod", "bpol", False): "BSigma1(<, MOD) (BPol(MOD))",
-    ("mod", "bpol", True): "BSigma1(<, +1, MOD) (BPol(MOD+))",
+
+@dataclass(frozen=True)
+class Base:
+    """A class G of group languages: the `tag` that `Report.basis` carries,
+    `pairs(m, budget)`, the relation of the pairs of m that G cannot
+    separate (None for GR: not computable), and the literature `names` of
+    its classes by (level, plus)."""
+
+    tag: str
+    pairs: Optional[Callable[[SyntacticMorphism, Optional[int]], PairRelation]]
+    names: dict[tuple[str, bool], str] = field(default_factory=dict)
+
+    def supports(self, level: str, plus: bool) -> bool:
+        """Whether the class is decidable here: all but BPol(G) need pairs."""
+        return self.pairs is not None or (level.lower() == "bpol" and not plus)
+
+
+# Each `pairs` calls its pair function by the name it has in this module when
+# it runs, so the wrapper perfbench/spans.py puts there traces the call.
+BASES = {
+    "st": Base(BASIS_ST, lambda m, budget: st_pairs(m),
+               {("bpol", False): "piecewise testable (BPol(ST))",
+                ("bpol", True): "dot-depth one (BPol(ST+))"}),
+    "mod": Base(BASIS_MOD, lambda m, budget: mod_pairs(m),
+                {("bpol", False): "BSigma1(<, MOD) (BPol(MOD))",
+                 ("bpol", True): "BSigma1(<, +1, MOD) (BPol(MOD+))"}),
+    "amt": Base(BASIS_AMT, lambda m, budget: amt_pairs(m, node_budget=budget)),
+    "gr": Base("GR", None),
 }
 
 
-def class_name(basis: TyUnion[str, GroupPresentation], level: str, plus: bool) -> str:
-    """Human-readable name of the decided class; a GroupPresentation is named
-    by its `name`, as `Report.basis` names it."""
-    key = (basis.lower() if isinstance(basis, str) else "custom", level.lower(), plus)
-    if key in _CLASS_NAMES:
-        return _CLASS_NAMES[key]
-    if isinstance(basis, str):
-        # keep user-chosen group names as given; uppercase only the built-ins
-        tag = basis if basis.startswith("CUSTOM:") else basis.upper()
-    else:
-        tag = f"CUSTOM:{basis.name}"
-    return f"{'Pol' if level.lower() == 'pol' else 'BPol'}({tag}{'+' if plus else ''})"
+def base_of(basis: TyUnion[str, GroupPresentation, Base]) -> Base:
+    """The Base of a key of BASES, in any case and blanks around it ignored,
+    of a GroupPresentation (tagged CUSTOM:<name>), or a Base itself."""
+    if isinstance(basis, Base):
+        return basis
+    if isinstance(basis, GroupPresentation):
+        return Base(f"CUSTOM:{basis.name}", lambda m, budget: group_morphism_pairs(m, basis))
+    key = basis.strip().lower() if isinstance(basis, str) else None
+    if key not in BASES:
+        raise UsageError(f"unknown basis {basis!r}: use {', '.join(BASES)}, "
+                         f"group:<file.json> or a GroupPresentation")
+    return BASES[key]
+
+
+def class_name(basis: TyUnion[str, GroupPresentation, Base], level: str, plus: bool) -> str:
+    """Human-readable name of the decided class; `basis` is what `base_of`
+    reads or a `Report.basis` tag, CUSTOM:<name> included."""
+    custom = isinstance(basis, str) and basis.startswith("CUSTOM:")   # a tag, no group
+    base = Base(basis, None) if custom else base_of(basis)
+    default = f"{'Pol' if level.lower() == 'pol' else 'BPol'}({base.tag}{'+' if plus else ''})"
+    return base.names.get((level.lower(), plus), default)
 
 
 @dataclass(frozen=True)
@@ -666,37 +697,21 @@ GR_UNSUPPORTED = ("unsupported: GR-pairs not computable in this tool; the GR bas
                   "is only decidable here as BPol(GR): use level=bpol without plus")
 
 
-def _basis_key(basis: TyUnion[str, GroupPresentation]) -> Optional[str]:
-    """A string basis in lower case, or None for a GroupPresentation; a
-    string that names none of BASES raises."""
-    if not isinstance(basis, str):
-        return None
-    key = basis.lower()
-    if key not in BASES:
-        raise UsageError(f"basis must be one of {BASES} or a GroupPresentation")
-    return key
-
-
-def pair_relation(m: SyntacticMorphism, basis: TyUnion[str, GroupPresentation],
+def pair_relation(m: SyntacticMorphism, basis: TyUnion[str, GroupPresentation, Base],
                   node_budget: Optional[int] = None) -> PairRelation:
-    """The pair relation of `basis` ("st" | "mod" | "amt", in any case, or a
-    GroupPresentation) on `m`. GR pairs are not computable: "gr" raises."""
-    key = _basis_key(basis)
-    if key == "st":
-        return st_pairs(m)
-    if key == "mod":
-        return mod_pairs(m)
-    if key == "amt":
-        return amt_pairs(m, node_budget=node_budget)
-    if key == "gr":
+    """The pair relation on `m` of `basis`, anything `base_of` reads; a
+    positive `node_budget` caps AMT cosets. GR has none: it raises."""
+    positive_budget(node_budget, "node_budget")
+    base = base_of(basis)
+    if base.pairs is None:
         raise UsageError(GR_UNSUPPORTED)
-    return group_morphism_pairs(m, basis)
+    return base.pairs(m, node_budget)
 
 
 def decide(
     source: TyUnion[Pattern, Dfa, str],
     alphabet: Optional[TyUnion[str, tuple[str, ...]]] = None,
-    basis: TyUnion[str, GroupPresentation] = "st",
+    basis: TyUnion[str, GroupPresentation, Base] = "st",
     level: str = "bpol",
     plus: bool = False,
     *,
@@ -707,18 +722,18 @@ def decide(
 
     `source` is a pattern (text or AST; requires `alphabet`) or a complete
     DFA; an `alphabet` given with a DFA must be the DFA's, in any order,
-    or AlphabetError is raised. `basis` is "st" | "mod" | "amt" | "gr" or a GroupPresentation.
-    GR only supports level="bpol" without plus: every other class needs
-    GR pairs, which `pair_relation` cannot compute. `budget`, when given,
-    caps every stage: DFA states, monoid elements and AMT cosets; each
-    stage keeps its own default otherwise.
+    or AlphabetError is raised. `basis` is anything `base_of` reads. A class
+    its Base does not support (all over GR but BPol(GR)) raises before any
+    work. `budget`, when given, must be positive and caps every stage: DFA
+    states, monoid elements and AMT cosets; each keeps its default otherwise.
     """
     t0 = time.perf_counter()
+    positive_budget(budget, "budget")
     level = level.lower()
     if level not in _LEVELS:
         raise UsageError(f"level must be pol or bpol, got {level!r}")
-    basis_key = _basis_key(basis)
-    if basis_key == "gr" and (level != "bpol" or plus):
+    base = base_of(basis)
+    if not base.supports(level, plus):
         raise UsageError(GR_UNSUPPORTED)  # before any work: these need GR pairs
 
     if isinstance(source, Dfa):
@@ -737,16 +752,10 @@ def decide(
 
     m = transition_monoid(dfa, element_budget=budget)
 
-    certified = True
-    pair_count: Optional[int] = None
-    if basis_key == "gr":
-        verdict = _check_grbpol(m)
-        basis_tag = "GR"
+    if base.pairs is None:
+        verdict, rel = _check_grbpol(m), None
     else:
-        rel = pair_relation(m, basis, node_budget=budget)
-        certified = rel.certified
-        pair_count = rel.count
-        basis_tag = rel.basis
+        rel = pair_relation(m, base, node_budget=budget)
         if level == "pol":
             order = syntactic_preorder(m)
             check = check_pol_group_plus if plus else check_pol_group
@@ -758,15 +767,15 @@ def decide(
     return Report(
         input_text=text,
         alphabet=dfa.alphabet,
-        basis=basis_tag,
+        basis=base.tag,
         level=level.upper(),
         plus=plus,
         dfa_states=dfa.states,
         monoid_size=m.element_count,
         member=verdict.member,
         equation=verdict.equation,
-        certified=certified,
+        certified=rel is None or rel.certified,
         witness=verdict.witness,
-        pair_count=pair_count,
+        pair_count=None if rel is None else rel.count,
         elapsed_s=round(time.perf_counter() - t0, 6),
     )

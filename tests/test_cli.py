@@ -6,9 +6,11 @@ import sys
 
 import pytest
 
+from hierarchy_one import cli
 from hierarchy_one.cli import main
+from hierarchy_one.errors import UsageError
 from hierarchy_one.lang import compile_dfa, dfa_to_dict, minimize
-from hierarchy_one.membership import decide
+from hierarchy_one.membership import BASES, decide
 from tests.conftest import GOLDEN_VERDICTS, random_minimal_dfa
 
 Z3_DOC = {
@@ -124,6 +126,24 @@ def test_malformed_group_file_is_an_error(tmp_path, capsys, doc):
 def test_bad_pattern_reports_position(capsys):
     assert main(["decide", "--alphabet", "ab", "((a"]) == 2
     assert "error" in capsys.readouterr().err
+
+
+def test_unknown_basis_fails_before_the_pattern_compiles(capsys):
+    # at --budget 2 compiling this pattern would exceed the budget first; the
+    # message is the library's, and names every built-in and group files
+    pattern = "(a|b)*a(a|b)(a|b)(a|b)(a|b)(a|b)(a|b)"
+    assert main(["decide", pattern, "--alphabet", "ab", "--basis", "frob", "--budget", "2"]) == 2
+    out, err = capsys.readouterr()
+    with pytest.raises(UsageError) as lib:
+        decide(pattern, "ab", basis="frob")
+    assert (out, err) == ("", f"error: {lib.value}\n")
+    assert "unknown basis 'frob'" in err and "budget exceeded" not in err
+    assert all(key in err for key in BASES) and "group:<file.json>" in err
+
+
+def test_basis_help_lists_every_built_in(capsys):
+    assert main(["decide", "--help"]) == 0
+    assert " | ".join(BASES) + " | group:<file.json>" in " ".join(capsys.readouterr().out.split())
 
 
 def test_unknown_subcommand_is_usage_error(capsys):
@@ -296,6 +316,23 @@ def test_batch_records_case_errors_and_continues(tmp_path, capsys):
     assert main(["batch", str(path), "--workers", "1"]) == 2
     out = capsys.readouterr().out
     assert "ERROR" in out and "PASS" in out
+
+
+@pytest.mark.parametrize("field, value", [
+    ("plus", "false"), ("plus", 1), ("plus", None), ("expect", "false"), ("expect", None),
+    ("basis", 5), ("level", ["pol"]), ("alphabet", None),
+])
+def test_batch_rejects_mistyped_fields_before_any_case_runs(tmp_path, capsys, monkeypatch,
+                                                             field, value):
+    ran = []
+    monkeypatch.setattr(cli, "_batch_case", lambda case, **kwargs: ran.append(case))
+    good = {"input": "(aa)*", "alphabet": "a", "basis": "mod", "plus": False, "expect": True}
+    path = tmp_path / "typed.json"
+    path.write_text(json.dumps({"cases": [good, dict(good, **{field: value})]}))
+    assert main(["batch", str(path), "--workers", "1"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and ran == []
+    assert err.startswith(f"error: case 1: '{field}' must be ")
 
 
 def test_batch_empty_manifest_is_ok(tmp_path, capsys):

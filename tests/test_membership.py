@@ -18,6 +18,7 @@ from hierarchy_one.lang import Dfa, combine, compile_dfa, minimize
 from hierarchy_one.lang.dfa import dfa_from_dict
 from hierarchy_one.lang.patterns import Concat, Letter
 from hierarchy_one.membership import (
+    BASES,
     EQ_GONE,
     EQ_GRBPOL,
     EQ_KNAST,
@@ -28,6 +29,7 @@ from hierarchy_one.membership import (
     Report,
     Verdict,
     ViolationWitness,
+    base_of,
     check_bpol_group,
     check_bpol_group_plus,
     check_pol_group,
@@ -909,6 +911,41 @@ def test_class_names():
     assert class_name(group, "bpol", False) == class_name(report.basis, "bpol", False)
 
 
+def test_class_names_of_every_base_tag():
+    # [Pol, Pol+, BPol, BPol+] of each tag a report carries, at either case of level
+    expected = {
+        "ST": ["Pol(ST)", "Pol(ST+)", "piecewise testable (BPol(ST))",
+               "dot-depth one (BPol(ST+))"],
+        "MOD": ["Pol(MOD)", "Pol(MOD+)", "BSigma1(<, MOD) (BPol(MOD))",
+                "BSigma1(<, +1, MOD) (BPol(MOD+))"],
+        "AMT": ["Pol(AMT)", "Pol(AMT+)", "BPol(AMT)", "BPol(AMT+)"],
+        "GR": ["Pol(GR)", "Pol(GR+)", "BPol(GR)", "BPol(GR+)"],
+        "CUSTOM:z3": ["Pol(CUSTOM:z3)", "Pol(CUSTOM:z3+)", "BPol(CUSTOM:z3)", "BPol(CUSTOM:z3+)"],
+    }
+    assert [base.tag for base in BASES.values()] == list(expected)[:4]
+    group_names = [name.replace("z3", "length-mod-3") for name in expected["CUSTOM:z3"]]
+    cases = [*expected.items(), *((key, expected[base.tag]) for key, base in BASES.items()),
+             (cyclic_length_group(3, "ab"), group_names)]
+    for basis, names in cases:
+        for case in (str.lower, str.upper):
+            assert [class_name(basis, case(level), plus) for level in ("pol", "bpol")
+                    for plus in (False, True)] == names
+    for basis in ("xyz", "group:z3", "custom:z3", ""):
+        with pytest.raises(UsageError, match="unknown basis"):
+            class_name(basis, "bpol", False)
+
+
+def test_only_gr_beyond_bpol_is_unsupported():
+    bases = [*BASES.values(), base_of(cyclic_length_group(3, "ab"))]
+    assert len(bases) == 5
+    for base in bases:
+        for level in ("pol", "bpol"):
+            for plus in (False, True):
+                gr_beyond_bpol = base.tag == "GR" and (level == "pol" or plus)
+                assert base.supports(level, plus) is not gr_beyond_bpol
+                assert base.supports(level.upper(), plus) is not gr_beyond_bpol
+
+
 # --- decide() contract ------------------------------------------------------------
 
 
@@ -963,6 +1000,23 @@ def test_pair_relation_reads_string_bases_in_any_case():
     for basis in ("xyz", "", "GR"):
         with pytest.raises(UsageError):
             pair_relation(m, basis)
+
+
+def test_string_bases_are_read_in_any_case_with_blanks_around():
+    for basis in (" MOD ", "Mod", "mod\t"):
+        assert base_of(basis) is BASES["mod"]
+        assert replace(decide("(aa)*b", "ab", basis=basis), elapsed_s=0) == \
+            replace(decide("(aa)*b", "ab", basis="mod"), elapsed_s=0)
+
+
+@pytest.mark.parametrize("budget", [0, -3])
+def test_non_positive_budgets_are_usage_errors(budget):
+    with pytest.raises(UsageError, match=f"^budget must be positive, got {budget}$"):
+        decide("(aa)*", "a", budget=budget)
+    m = transition_monoid(minimize(compile_dfa("(aa)*", "a")))
+    for basis in ("st", "amt"):
+        with pytest.raises(UsageError, match=f"^node_budget must be positive, got {budget}$"):
+            pair_relation(m, basis, node_budget=budget)
 
 
 def test_small_budget_letter_count_verdicts_are_exact():

@@ -14,6 +14,9 @@ import importlib
 import importlib.util
 from pathlib import Path
 
+from hierarchy_one import cli, membership
+from hierarchy_one.pairs import cyclic_length_group
+
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 SPANS = PERFBENCH / "spans.py"
 LIBRARY = "hierarchy_one"
@@ -35,6 +38,33 @@ def test_every_traced_name_is_one_function_in_each_listed_module():
             assert fn is found[0], f"{name}: {key}.{attr} is not {namespaces[0]}.{attr}"
     for name, (cls, attr) in spans.TRACED_METHODS.items():
         assert callable(cls.__dict__.get(attr)), f"{name}: {cls.__name__}.{attr} is missing"
+
+
+def test_pair_calls_made_through_the_base_table_are_traced(capsys):
+    # each Base calls its pair function by name at run time, so the wrapper
+    # the tracer put in membership's namespace sees the call
+    spans = load_spans()
+    tracer = spans.Tracer()
+    calls = [
+        (lambda: membership.decide("(a|b)*a", "ab", basis="st"), "pairs.st_pairs"),
+        (lambda: membership.decide("(a|b)*a", "ab", basis="mod"), "pairs.mod_pairs"),
+        (lambda: membership.decide("(a|b)*a", "ab", basis="amt"), "pairs.amt_pairs"),
+        (lambda: membership.decide("(a|b)*a", "ab", basis=cyclic_length_group(3, "ab")),
+         "pairs.group_morphism_pairs"),
+        (lambda: cli.main(["pairs", "(a|b)*a", "--alphabet", "ab", "--basis", "mod"]),
+         "pairs.mod_pairs"),
+    ]
+    tracer.install()
+    try:
+        for call, name in calls:
+            before, counted = len(tracer.spans), tracer.counts["pairs.count"]
+            call()
+            opened = [span[0] for span in tracer.spans[before:] if span[0].startswith("pairs.")]
+            assert opened == [name]
+            assert tracer.counts["pairs.count"] > counted
+    finally:
+        tracer.uninstall()
+    capsys.readouterr()
 
 
 def _module(name: str):
