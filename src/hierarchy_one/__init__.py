@@ -23,6 +23,7 @@ from .lang import (
     includes,
     is_empty,
     is_permutation_automaton,
+    minimal_dfa,
     minimize,
     normalize_alphabet,
     parse_pattern,

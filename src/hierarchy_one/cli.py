@@ -22,24 +22,22 @@ from .covers import guarded_decomposition, pgcov_cover
 from .errors import BUDGET_ENV_VAR, BudgetError, UsageError, positive_budget
 from .lang.dfa import (
     Dfa,
-    compile_dfa,
     dfa_from_dict,
     dfa_to_dict,
     is_permutation_automaton,
-    minimize,
+    minimal_dfa,
 )
-from .lang.patterns import normalize_alphabet
-from .membership import BASES, Base, Report, base_of, class_name, decide, pair_relation
+from .membership import BASES, LEVELS, Base, Report, base_of, class_name, decide, pair_relation
 from .monoid import (
     SyntacticMorphism,
-    is_group,
     monoid_to_dict,
     stable_sequence,
     syntactic_preorder,
     transition_monoid,
 )
 from .pairs import GroupPresentation, group_from_dict, pairs_to_dict
-# Unused here: perfbench/spans.py traces these four names in this module too.
+# Unused here: perfbench/spans.py traces these names in this module too.
+from .lang.dfa import compile_dfa, minimize  # noqa: F401
 from .pairs import amt_pairs, group_morphism_pairs, mod_pairs, st_pairs  # noqa: F401
 
 EXIT_MEMBER = 0
@@ -52,25 +50,13 @@ EXIT_ERROR = 2
 # input plumbing
 
 
-def _looks_like_file(text: str) -> bool:
-    return text.endswith(".json") or os.path.sep in text
-
-
-def _load_language(text: str, alphabet: Optional[str], base_dir: str = ".",
-                   budget: Optional[int] = None) -> Dfa:
-    """A pattern string (needs --alphabet) or a path to a DFA JSON file."""
-    if _looks_like_file(text):
-        path = text if os.path.isabs(text) else os.path.join(base_dir, text)
-        with open(path, "r", encoding="utf-8") as fh:
-            d = dfa_from_dict(json.load(fh))
-        if alphabet is not None and normalize_alphabet(alphabet) != d.alphabet:
-            raise UsageError(
-                f"--alphabet {alphabet!r} does not match the automaton file's "
-                f"alphabet {''.join(d.alphabet)!r}")
-        return d
-    if alphabet is None:
-        raise UsageError("pattern input needs an explicit --alphabet")
-    return compile_dfa(text, alphabet, state_budget=budget)
+def _source(text: str, base_dir: str = ".") -> Union[Dfa, str]:
+    """The DFA a JSON file path (ending in .json or holding a path separator)
+    names, relative to `base_dir`; any other text is a pattern, kept as is."""
+    if not (text.endswith(".json") or os.path.sep in text):
+        return text
+    with open(os.path.join(base_dir, text), "r", encoding="utf-8") as fh:
+        return dfa_from_dict(json.load(fh))
 
 
 def _resolve_basis(text: str, base_dir: str = ".") -> Union[Base, GroupPresentation]:
@@ -85,7 +71,7 @@ def _resolve_basis(text: str, base_dir: str = ".") -> Union[Base, GroupPresentat
 
 def _morphism(args: argparse.Namespace) -> tuple[Dfa, SyntacticMorphism]:
     """The minimal DFA of `args.input` and its syntactic morphism."""
-    dfa = minimize(_load_language(args.input, args.alphabet, budget=args.budget))
+    dfa = minimal_dfa(_source(args.input), args.alphabet, state_budget=args.budget)
     return dfa, transition_monoid(dfa, element_budget=args.budget)
 
 
@@ -128,9 +114,8 @@ def _decide(text: str, alphabet: Optional[str], basis: str, level: str,
             plus: bool, budget: Optional[int], base_dir: str = ".") -> Report:
     """One decide call as the CLI and batch workers make it."""
     resolved = _resolve_basis(basis, base_dir=base_dir)
-    source = _load_language(text, alphabet, base_dir=base_dir, budget=budget)
-    return decide(source, basis=resolved, level=level, plus=plus, label=text,
-                  budget=budget)
+    return decide(_source(text, base_dir=base_dir), alphabet, basis=resolved, level=level,
+                  plus=plus, label=text, budget=budget)
 
 
 def cmd_decide(args: argparse.Namespace) -> int:
@@ -157,8 +142,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     print(f"  syntactic monoid    {m.element_count} elements "
           f"({len(m.nonempty_image)} in the nonempty-word image, "
           f"{len(m.idempotents_s)} idempotents)")
-    print(f"  group language      {'yes' if perm else 'no'}"
-          f"{' (monoid is a group)' if is_group(m) else ''}")
+    print(f"  group language      {'yes (monoid is a group)' if perm else 'no'}")
     print(f"  length stabilizes   threshold {info.threshold}, period {info.period}")
     if args.json:
         _write_json(args.json, {
@@ -176,6 +160,8 @@ def cmd_analyze(args: argparse.Namespace) -> int:
 
 
 def cmd_pairs(args: argparse.Namespace) -> int:
+    if args.limit < 0:
+        raise UsageError(f"--limit must be zero or more, got {args.limit}")
     basis = _resolve_basis(args.basis)
     _, m = _morphism(args)
     rel = pair_relation(m, basis, node_budget=args.budget)
@@ -205,8 +191,8 @@ def cmd_pairs(args: argparse.Namespace) -> int:
 def cmd_cover(args: argparse.Namespace) -> int:
     # here --budget caps the number of base words; automaton sizes keep
     # their own defaults (or the environment override)
-    target = _load_language(args.target, args.alphabet)
-    gaps = _load_language(args.gaps, args.alphabet)
+    target = minimal_dfa(_source(args.target), args.alphabet)
+    gaps = minimal_dfa(_source(args.gaps), args.alphabet)
     result = pgcov_cover(target, gaps, max_bases=args.budget)
     status = "certified" if result.certified else "PARTIAL (budget hit, not certified)"
     print(f"cover of {args.target} with {args.gaps} gaps: "
@@ -362,7 +348,7 @@ def _add_common(sub: argparse.ArgumentParser, *, basis: bool = False,
                          help=f"{' | '.join(BASES)} | group:<file.json> "
                          "(default: st)")
     if level:
-        sub.add_argument("--level", choices=("pol", "bpol"), default="bpol",
+        sub.add_argument("--level", choices=LEVELS, default="bpol",
                          help="half level Pol or full level BPol (default: bpol)")
         sub.add_argument("--plus", action="store_true",
                          help="use the well-suited extension (adds {empty} "

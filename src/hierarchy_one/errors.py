@@ -31,8 +31,13 @@ class UsageError(ValueError):
 
 
 def positive_budget(value: int | None, source: str) -> int | None:
-    """`value` if it is None or a usable budget; UsageError naming `source` if not."""
-    if value is not None and value <= 0:
+    """`value` if it is None or a usable budget, a positive int (not a bool);
+    UsageError naming `source` if not."""
+    if value is None:
+        return None
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise UsageError(f"{source} must be an integer, got {value!r}")
+    if value <= 0:
         raise UsageError(f"{source} must be positive, got {value}")
     return value
 

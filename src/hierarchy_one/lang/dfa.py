@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from itertools import chain, compress, repeat
 from typing import Callable, Hashable, Iterable, Mapping, Optional, Sequence, Union as TyUnion
 
-from ..errors import AlphabetError, BudgetError, DEFAULT_STATE_BUDGET, budget_from_env
+from ..errors import AlphabetError, BudgetError, DEFAULT_STATE_BUDGET, UsageError, budget_from_env
 from .patterns import (
     Concat,
     Empty,
@@ -356,6 +356,39 @@ def minimize(d: Dfa) -> Dfa:
         finals=frozenset(i for i, b in enumerate(order) if rep[b] in finals),
         delta=out_delta,
     )
+
+
+def input_alphabet(
+    source: TyUnion[Pattern, str, Dfa],
+    alphabet: Optional[TyUnion[str, Iterable[str]]] = None,
+) -> tuple[str, ...]:
+    """The alphabet `minimal_dfa(source, alphabet)` reads its language over.
+    A pattern (text or AST) needs `alphabet`: UsageError without one. A DFA
+    is over its own alphabet, which `alphabet` must be when given, in any
+    order: AlphabetError otherwise."""
+    if isinstance(source, Dfa):
+        if alphabet is not None and (given := normalize_alphabet(alphabet)) != source.alphabet:
+            raise AlphabetError(f"alphabet mismatch: {''.join(given)!r} does not match the "
+                                f"DFA's alphabet {''.join(source.alphabet)!r}")
+        return source.alphabet
+    if alphabet is None:
+        raise UsageError("a pattern needs an explicit alphabet")
+    return normalize_alphabet(alphabet)
+
+
+def minimal_dfa(
+    source: TyUnion[Pattern, str, Dfa],
+    alphabet: Optional[TyUnion[str, Iterable[str]]] = None,
+    state_budget: Optional[int] = None,
+) -> Dfa:
+    """The minimal DFA of a pattern (text or AST) or of a complete DFA, over
+    `input_alphabet(source, alphabet)`, which raises the two input errors:
+    its transition monoid is the syntactic monoid. `state_budget` caps the
+    pattern's subset construction, as in `compile_dfa`."""
+    over = input_alphabet(source, alphabet)
+    if not isinstance(source, Dfa):
+        source = compile_dfa(source, over, state_budget=state_budget)
+    return minimize(source)
 
 
 # --- boolean combinations --------------------------------------------------

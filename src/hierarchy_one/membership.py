@@ -34,8 +34,10 @@ from typing import Callable, Optional, Union as TyUnion
 import numpy as np
 
 from .errors import AlphabetError, UsageError, positive_budget
-from .lang.dfa import Dfa, compile_dfa, minimize
-from .lang.patterns import Pattern, normalize_alphabet, pattern_to_text
+from .lang.dfa import Dfa, input_alphabet, minimal_dfa
+# Unused here: perfbench/spans.py traces these names in this module too.
+from .lang.dfa import compile_dfa, minimize  # noqa: F401
+from .lang.patterns import Pattern, pattern_to_text
 from .monoid import OrderRelation, SyntacticMorphism, syntactic_preorder, transition_monoid
 from .pairs import (
     BASIS_AMT,
@@ -98,19 +100,6 @@ class Verdict:
 def _omega_all(m: SyntacticMorphism) -> np.ndarray:
     return np.fromiter((m.omega(x) for x in range(m.element_count)), dtype=np.int32,
                        count=m.element_count)
-
-
-def _distinct(x: np.ndarray) -> np.ndarray:
-    """np.unique(x) for the class walk's fresh row class keys: sorting a copy
-    and keeping the first of each run beat np.unique at every size tried
-    (numpy 2.4.6, best of 2000 on random int64 keys: 2.2 against 4.4 µs at
-    20 keys, 5.3 against 39 µs at 511, 40 against 426 µs at 5 000)."""
-    x = x.flatten()
-    x.sort()
-    keep = np.empty(len(x), dtype=bool)
-    keep[:1] = True
-    np.not_equal(x[1:], x[:-1], out=keep[1:])
-    return x[keep]
 
 
 def _bit_words(bits: np.ndarray) -> np.ndarray:
@@ -315,7 +304,7 @@ def _class_walk(table: np.ndarray, omega: np.ndarray, idem: np.ndarray,
             settled[b + li, lx] = True
             return None
         keys = rows[new]
-        fresh = _distinct(keys)
+        fresh = np.unique(keys)
         held[fresh] = True
         # the fail relation of the fresh row classes against the column classes of
         # their e, folded into bits: each live X has a bit of its e, and x_fails[bit,
@@ -583,7 +572,7 @@ def verify_witness(m: SyntacticMorphism, verdict: Verdict,
 
 # --- the decision pipeline --------------------------------------------------
 
-_LEVELS = ("pol", "bpol")
+LEVELS = ("pol", "bpol")
 
 
 @dataclass(frozen=True)
@@ -676,17 +665,21 @@ class Report:
 
     @staticmethod
     def from_dict(data: dict) -> "Report":
+        """The Report `to_dict` wrote; ValueError for a flag that is not a JSON boolean."""
+        for key in ("plus", "member", "certified"):
+            if not isinstance(data[key], bool):
+                raise ValueError(f"report field {key!r} must be true or false, got {data[key]!r}")
         return Report(
             input_text=data["input"],
             alphabet=tuple(data["alphabet"]),
             basis=data["basis"],
             level=data["level"],
-            plus=bool(data["plus"]),
+            plus=data["plus"],
             dfa_states=int(data["dfa_states"]),
             monoid_size=int(data["monoid_size"]),
-            member=bool(data["member"]),
+            member=data["member"],
             equation=data["equation"],
-            certified=bool(data["certified"]),
+            certified=data["certified"],
             witness=ViolationWitness.from_dict(data["witness"]) if data.get("witness") else None,
             pair_count=data.get("pair_count"),
             elapsed_s=float(data.get("elapsed_s", 0.0)),
@@ -720,36 +713,32 @@ def decide(
 ) -> Report:
     """Decide membership of a language in Pol/BPol over a group base.
 
-    `source` is a pattern (text or AST; requires `alphabet`) or a complete
-    DFA; an `alphabet` given with a DFA must be the DFA's, in any order,
-    or AlphabetError is raised. `basis` is anything `base_of` reads. A class
-    its Base does not support (all over GR but BPol(GR)) raises before any
-    work. `budget`, when given, must be positive and caps every stage: DFA
-    states, monoid elements and AMT cosets; each keeps its default otherwise.
+    `source` and `alphabet` are what `minimal_dfa` reads: a pattern (text
+    or AST) and its alphabet, or a complete DFA and, optionally, its
+    alphabet in any order. `basis` is anything `base_of` reads, `level`
+    a string of LEVELS in any case and `plus` a bool. `budget`, when given,
+    must be a positive int and caps every stage: DFA states, monoid elements
+    and AMT cosets; each keeps its default otherwise. A malformed request, a
+    class its Base does not support (all over GR but BPol(GR)) and a
+    GroupPresentation over another alphabet than the language's raise
+    before any work.
     """
     t0 = time.perf_counter()
     positive_budget(budget, "budget")
-    level = level.lower()
-    if level not in _LEVELS:
+    if not isinstance(plus, bool):
+        raise UsageError(f"plus must be True or False, got {plus!r}")
+    if not (isinstance(level, str) and level.lower() in LEVELS):
         raise UsageError(f"level must be pol or bpol, got {level!r}")
+    level = level.lower()
     base = base_of(basis)
     if not base.supports(level, plus):
         raise UsageError(GR_UNSUPPORTED)  # before any work: these need GR pairs
+    over = input_alphabet(source, alphabet)
+    if isinstance(basis, GroupPresentation) and basis.alphabet != over:
+        raise AlphabetError(f"group alphabet {''.join(basis.alphabet)!r} does not match the "
+                            f"language's alphabet {''.join(over)!r}")
 
-    if isinstance(source, Dfa):
-        if alphabet is not None and (given := normalize_alphabet(alphabet)) != source.alphabet:
-            raise AlphabetError(f"alphabet mismatch: {given!r} given for a DFA over "
-                                f"{source.alphabet!r}")
-        dfa = minimize(source)
-        text = label if label is not None else "<dfa>"
-    else:
-        if alphabet is None:
-            raise UsageError("patterns need an explicit alphabet")
-        dfa = minimize(compile_dfa(source, alphabet, state_budget=budget))
-        text = label if label is not None else (
-            source if isinstance(source, str) else pattern_to_text(source)
-        )
-
+    dfa = minimal_dfa(source, alphabet, state_budget=budget)
     m = transition_monoid(dfa, element_budget=budget)
 
     if base.pairs is None:
@@ -764,8 +753,11 @@ def decide(
             check = check_bpol_group_plus if plus else check_bpol_group
             verdict = check(m, rel)
 
+    if label is None:
+        label = "<dfa>" if isinstance(source, Dfa) else (
+            source if isinstance(source, str) else pattern_to_text(source))
     return Report(
-        input_text=text,
+        input_text=label,
         alphabet=dfa.alphabet,
         basis=base.tag,
         level=level.upper(),

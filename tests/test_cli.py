@@ -8,9 +8,10 @@ import pytest
 
 from hierarchy_one import cli
 from hierarchy_one.cli import main
-from hierarchy_one.errors import UsageError
-from hierarchy_one.lang import compile_dfa, dfa_to_dict, minimize
+from hierarchy_one.errors import AlphabetError, UsageError
+from hierarchy_one.lang import compile_dfa, dfa_to_dict, minimal_dfa, minimize
 from hierarchy_one.membership import BASES, decide
+from hierarchy_one.pairs import group_from_dict
 from tests.conftest import GOLDEN_VERDICTS, random_minimal_dfa
 
 Z3_DOC = {
@@ -141,6 +142,48 @@ def test_unknown_basis_fails_before_the_pattern_compiles(capsys):
     assert all(key in err for key in BASES) and "group:<file.json>" in err
 
 
+def test_group_over_another_alphabet_fails_before_the_pattern_compiles(tmp_path, capsys):
+    # at --budget 2 compiling (aa)* (3 states) would exceed the budget first
+    doc = dict(Z3_DOC, letter_image={"a": 1, "b": 2})
+    path = tmp_path / "z3ab.json"
+    path.write_text(json.dumps(doc))
+    assert main(["decide", "(aa)*", "--alphabet", "a", "--basis", f"group:{path}",
+                 "--budget", "2"]) == 2
+    out, err = capsys.readouterr()
+    with pytest.raises(AlphabetError) as lib:
+        decide("(aa)*", "a", basis=group_from_dict(doc), budget=2)
+    assert (out, err) == ("", f"error: {lib.value}\n")
+
+
+def input_error(source, alphabet=None) -> ValueError:
+    """What minimal_dfa raises for one input rule broken."""
+    with pytest.raises((AlphabetError, UsageError)) as exc:
+        minimal_dfa(source, alphabet)
+    return exc.value
+
+
+@pytest.mark.parametrize("command", ["decide", "analyze", "pairs", "cover", "decompose", "batch"])
+def test_every_command_gives_the_input_errors_of_minimal_dfa(tmp_path, capsys, command):
+    dfa = compile_dfa("(ab)*", "ab")
+    path = tmp_path / "d.json"
+    path.write_text(json.dumps(dfa_to_dict(dfa)))
+    for language, alphabet, exc in ((str(path), "abc", input_error(dfa, "abc")),
+                                    ("(ab)*", None, input_error("(ab)*"))):
+        if command == "batch":
+            case = {"input": language} if alphabet is None else {"input": language,
+                                                                 "alphabet": alphabet}
+            manifest = tmp_path / "m.json"
+            manifest.write_text(json.dumps({"cases": [case]}))
+            assert main(["batch", str(manifest), "--workers", "1"]) == 2
+            row = capsys.readouterr().out.splitlines()[0]
+            assert row.startswith("ERROR") and row.endswith(f"  {type(exc).__name__}: {exc}")
+            continue
+        operands = {"cover": [language, language], "decompose": [language, "ab"]}
+        flags = [] if alphabet is None else ["--alphabet", alphabet]
+        assert main([command, *operands.get(command, [language]), *flags]) == 2
+        assert capsys.readouterr() == ("", f"error: {exc}\n")
+
+
 def test_basis_help_lists_every_built_in(capsys):
     assert main(["decide", "--help"]) == 0
     assert " | ".join(BASES) + " | group:<file.json>" in " ".join(capsys.readouterr().out.split())
@@ -163,6 +206,17 @@ def test_analyze_summarizes_monoid(tmp_path, capsys):
     assert doc["monoid"]["identity"] == 0
     assert len(doc["monoid"]["table"]) == 6
     assert doc["group_language"] is False
+
+
+@pytest.mark.parametrize("pattern, alphabet, answer", [
+    ("(aa)*", "a", "yes (monoid is a group)"),
+    ("(ab)*", "ab", "no"),
+    ("a(aa)*", "ab", "no"),       # a permutation on a, not on b
+])
+def test_analyze_says_whether_the_language_is_a_group_language(capsys, pattern, alphabet,
+                                                                answer):
+    assert main(["analyze", pattern, "--alphabet", alphabet]) == 0
+    assert f"\n  group language      {answer}\n" in capsys.readouterr().out
 
 
 def test_analyze_builds_the_preorder_only_for_the_json_report(tmp_path, capsys, monkeypatch):
@@ -197,6 +251,15 @@ def test_pairs_amt_is_exact_at_small_budgets(tmp_path, capsys):
         doc = json.loads(out.read_text())
         assert doc["certified"] is True
         assert [[s, t] for s, t, _, _ in doc["pairs"]] == [[0, 0], [1, 1]]
+
+
+def test_pairs_rejects_a_negative_limit_before_any_work(capsys):
+    # at --budget 2 compiling (aa)* (3 states) would exceed the budget first
+    argv = ["pairs", "(aa)*", "--alphabet", "a", "--basis", "mod"]
+    assert main([*argv, "--limit", "-3", "--budget", "2"]) == 2
+    assert capsys.readouterr() == ("", "error: --limit must be zero or more, got -3\n")
+    assert main([*argv, "--limit", "0"]) == 0
+    assert capsys.readouterr().out == "(aa)*: 2 MOD-pairs over 2x2 elements\n  ... 2 more\n"
 
 
 def test_pairs_gr_is_rejected(capsys):

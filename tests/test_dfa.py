@@ -5,7 +5,7 @@ from collections import deque
 
 import pytest
 
-from hierarchy_one.errors import AlphabetError, BudgetError, PatternError
+from hierarchy_one.errors import AlphabetError, BudgetError, PatternError, UsageError
 from hierarchy_one.lang import (
     Dfa,
     combine,
@@ -16,6 +16,7 @@ from hierarchy_one.lang import (
     includes,
     is_empty,
     is_permutation_automaton,
+    minimal_dfa,
     minimize,
     words_of_length,
 )
@@ -414,3 +415,27 @@ def test_state_budget_error_names_stage_and_size():
                        r"NFA with 18 nodes, 10 states found, 5 expanded$"):
         compile_dfa("(a|b)*a(a|b)(a|b)(a|b)(a|b)(a|b)(a|b)(a|b)", "ab",
                     state_budget=10)
+
+
+def test_minimal_dfa_reads_patterns_and_dfas_alike():
+    rng = random.Random(1357)
+    for _ in range(40):
+        ast = random_ast(rng, depth=3)
+        want = minimize(compile_dfa(ast, "ab"))
+        assert minimal_dfa(ast, "ba") == want
+        assert minimal_dfa(compile_dfa(ast, "ab")) == want
+        assert minimal_dfa(compile_dfa(ast, "ab"), ["b", "a"]) == want
+    assert minimal_dfa("(a|b)*a(a|b)*b(a|b)*", "ab").states == 3   # compile_dfa gives 7
+    with pytest.raises(BudgetError):
+        minimal_dfa("(a|b)*a(a|b)(a|b)(a|b)", "ab", state_budget=4)
+
+
+def test_minimal_dfa_has_one_error_per_input_rule():
+    with pytest.raises(UsageError, match="^a pattern needs an explicit alphabet$"):
+        minimal_dfa("(ab)*")
+    dfa = compile_dfa("(ab)*", "ab")
+    for alphabet, given in (("abc", "abc"), ("a", "a"), ("", ""), ("cba", "abc")):
+        with pytest.raises(AlphabetError) as exc:
+            minimal_dfa(dfa, alphabet)
+        assert str(exc.value) == (f"alphabet mismatch: {given!r} does not match the "
+                                  f"DFA's alphabet 'ab'")

@@ -6,6 +6,7 @@ share no code with the vectorized checkers.
 """
 
 import random
+import re
 import time
 from dataclasses import replace
 
@@ -897,6 +898,15 @@ def test_report_round_trips_through_dict():
         assert Report.from_dict(report.to_dict()) == report
 
 
+@pytest.mark.parametrize("key", ["plus", "member", "certified"])
+def test_report_flags_must_be_json_booleans(key):
+    data = decide("(ab)*", "ab").to_dict()
+    for value in ("false", 0, 1, None):
+        with pytest.raises(ValueError, match=f"^report field '{key}' must be true or false, "
+                           f"got {re.escape(repr(value))}$"):
+            Report.from_dict(dict(data, **{key: value}))
+
+
 def test_class_names():
     assert class_name("st", "bpol", False) == "piecewise testable (BPol(ST))"
     assert class_name("st", "bpol", True) == "dot-depth one (BPol(ST+))"
@@ -982,6 +992,43 @@ def test_ast_letters_outside_the_alphabet_are_alphabet_errors():
         for call in (compile_dfa, decide):
             with pytest.raises(AlphabetError, match=f"symbol '{symbol}' not in alphabet"):
                 call(ast, alphabet)
+
+
+@pytest.mark.parametrize("request_fields, message", [
+    ({"plus": "false"}, "plus must be True or False, got 'false'"),
+    ({"plus": 1}, "plus must be True or False, got 1"),
+    ({"level": None}, "level must be pol or bpol, got None"),
+    ({"budget": True}, "budget must be an integer, got True"),
+    ({"budget": 2.5}, "budget must be an integer, got 2.5"),
+], ids=["plus-text", "plus-int", "level-none", "budget-bool", "budget-float"])
+def test_mistyped_requests_are_usage_errors(request_fields, message):
+    # "false" is truthy: the request must not run WGONE in its name
+    with pytest.raises(UsageError, match=f"^{re.escape(message)}$"):
+        decide("(ab)*", "ab", **request_fields)
+    m = transition_monoid(minimize(compile_dfa("(aa)*", "a")))
+    with pytest.raises(UsageError, match="^node_budget must be an integer, got True$"):
+        pair_relation(m, "amt", node_budget=True)
+
+
+def test_a_group_over_another_alphabet_fails_before_any_work():
+    # at budget 2 compiling (aa)* (3 states) would exceed the budget first
+    group = cyclic_length_group(3, "ab")
+    for source, alphabet in (("(aa)*", "a"), (compile_dfa("(aa)*", "a"), None),
+                             (compile_dfa("(aa)*", "a"), "a")):
+        with pytest.raises(AlphabetError, match="^group alphabet 'ab' does not match the "
+                           "language's alphabet 'a'$"):
+            decide(source, alphabet, basis=group, budget=2)
+
+
+def test_decide_reads_a_pattern_and_its_automata_alike():
+    # the unminimized compile_dfa output gives a larger monoid than the
+    # syntactic one; decide minimizes every input the same way
+    for pattern, alphabet, basis, level, plus, _ in GOLDEN_VERDICTS:
+        reports = [replace(decide(source, alphabet, basis=basis, level=level, plus=plus),
+                           input_text="", elapsed_s=0)
+                   for source in (pattern, compile_dfa(pattern, alphabet),
+                                  minimize(compile_dfa(pattern, alphabet)))]
+        assert reports == reports[:1] * 3
 
 
 def test_decide_rejects_an_alphabet_other_than_the_dfas():

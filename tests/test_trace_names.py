@@ -12,9 +12,11 @@ library names are read off the source, without running it.
 import ast
 import importlib
 import importlib.util
+import json
 from pathlib import Path
 
 from hierarchy_one import cli, membership
+from hierarchy_one.lang import compile_dfa, dfa_to_dict
 from hierarchy_one.pairs import cyclic_length_group
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
@@ -62,6 +64,26 @@ def test_pair_calls_made_through_the_base_table_are_traced(capsys):
             opened = [span[0] for span in tracer.spans[before:] if span[0].startswith("pairs.")]
             assert opened == [name]
             assert tracer.counts["pairs.count"] > counted
+    finally:
+        tracer.uninstall()
+    capsys.readouterr()
+
+
+def test_decide_compiles_and_minimizes_its_input_once(tmp_path, capsys):
+    # the library reads the input: the CLI neither compiles nor minimizes it
+    spans = load_spans()
+    tracer = spans.Tracer()
+    pattern = "(a|b)*a(a|b)*b(a|b)*"
+    path = tmp_path / "d.json"
+    path.write_text(json.dumps(dfa_to_dict(compile_dfa(pattern, "ab"))))
+    tracer.install()
+    try:
+        for language, compiled in ([pattern, "--alphabet", "ab"], 1), ([str(path)], 0):
+            before = len(tracer.spans)
+            assert cli.main(["decide", *language]) == 0
+            opened = [span[0] for span in tracer.spans[before:]]
+            assert opened.count("lang.compile_dfa") == compiled
+            assert opened.count("lang.minimize") == 1
     finally:
         tracer.uninstall()
     capsys.readouterr()
