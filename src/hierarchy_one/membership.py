@@ -575,20 +575,30 @@ def verify_witness(m: SyntacticMorphism, verdict: Verdict,
 LEVELS = ("pol", "bpol")
 
 
+def _level(level: str) -> str:
+    """`level`, a string of LEVELS in any case, in lower case; UsageError otherwise."""
+    if not (isinstance(level, str) and level.lower() in LEVELS):
+        raise UsageError(f"level must be pol or bpol, got {level!r}")
+    return level.lower()
+
+
 @dataclass(frozen=True)
 class Base:
     """A class G of group languages: the `tag` that `Report.basis` carries,
     `pairs(m, budget)`, the relation of the pairs of m that G cannot
-    separate (None for GR: not computable), and the literature `names` of
-    its classes by (level, plus)."""
+    separate (None for GR: not computable), the literature `names` of
+    its classes by (level, plus), and the `alphabet` its languages are
+    over (None for the stock bases, which fit any alphabet)."""
 
     tag: str
     pairs: Optional[Callable[[SyntacticMorphism, Optional[int]], PairRelation]]
     names: dict[tuple[str, bool], str] = field(default_factory=dict)
+    alphabet: Optional[tuple[str, ...]] = None
 
     def supports(self, level: str, plus: bool) -> bool:
         """Whether the class is decidable here: all but BPol(G) need pairs."""
-        return self.pairs is not None or (level.lower() == "bpol" and not plus)
+        level = _level(level)
+        return self.pairs is not None or (level == "bpol" and not plus)
 
 
 # Each `pairs` calls its pair function by the name it has in this module when
@@ -611,7 +621,8 @@ def base_of(basis: TyUnion[str, GroupPresentation, Base]) -> Base:
     if isinstance(basis, Base):
         return basis
     if isinstance(basis, GroupPresentation):
-        return Base(f"CUSTOM:{basis.name}", lambda m, budget: group_morphism_pairs(m, basis))
+        return Base(f"CUSTOM:{basis.name}", lambda m, budget: group_morphism_pairs(m, basis),
+                    alphabet=basis.alphabet)
     key = basis.strip().lower() if isinstance(basis, str) else None
     if key not in BASES:
         raise UsageError(f"unknown basis {basis!r}: use {', '.join(BASES)}, "
@@ -621,11 +632,13 @@ def base_of(basis: TyUnion[str, GroupPresentation, Base]) -> Base:
 
 def class_name(basis: TyUnion[str, GroupPresentation, Base], level: str, plus: bool) -> str:
     """Human-readable name of the decided class; `basis` is what `base_of`
-    reads or a `Report.basis` tag, CUSTOM:<name> included."""
+    reads or a `Report.basis` tag, CUSTOM:<name> included, and `level` is
+    read as `decide` reads it."""
     custom = isinstance(basis, str) and basis.startswith("CUSTOM:")   # a tag, no group
     base = Base(basis, None) if custom else base_of(basis)
-    default = f"{'Pol' if level.lower() == 'pol' else 'BPol'}({base.tag}{'+' if plus else ''})"
-    return base.names.get((level.lower(), plus), default)
+    level = _level(level)
+    default = f"{'Pol' if level == 'pol' else 'BPol'}({base.tag}{'+' if plus else ''})"
+    return base.names.get((level, plus), default)
 
 
 @dataclass(frozen=True)
@@ -720,22 +733,20 @@ def decide(
     must be a positive int and caps every stage: DFA states, monoid elements
     and AMT cosets; each keeps its default otherwise. A malformed request, a
     class its Base does not support (all over GR but BPol(GR)) and a
-    GroupPresentation over another alphabet than the language's raise
-    before any work.
+    GroupPresentation, or a Base made from one, over another alphabet than
+    the language's raise before any work.
     """
     t0 = time.perf_counter()
     positive_budget(budget, "budget")
     if not isinstance(plus, bool):
         raise UsageError(f"plus must be True or False, got {plus!r}")
-    if not (isinstance(level, str) and level.lower() in LEVELS):
-        raise UsageError(f"level must be pol or bpol, got {level!r}")
-    level = level.lower()
+    level = _level(level)
     base = base_of(basis)
     if not base.supports(level, plus):
         raise UsageError(GR_UNSUPPORTED)  # before any work: these need GR pairs
     over = input_alphabet(source, alphabet)
-    if isinstance(basis, GroupPresentation) and basis.alphabet != over:
-        raise AlphabetError(f"group alphabet {''.join(basis.alphabet)!r} does not match the "
+    if base.alphabet is not None and base.alphabet != over:
+        raise AlphabetError(f"group alphabet {''.join(base.alphabet)!r} does not match the "
                             f"language's alphabet {''.join(over)!r}")
 
     dfa = minimal_dfa(source, alphabet, state_budget=budget)

@@ -8,7 +8,6 @@ is a transformation of the state set, named by a shortest witness word.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import itemgetter
 from typing import Optional
 
 import numpy as np
@@ -57,19 +56,27 @@ class SyntacticMorphism:
         raise AssertionError("no idempotent power found; table is not a monoid")
 
 
+# Entries of one block of the table fill's gathers, bounding its temporaries.
+_FILL_ENTRIES = 1 << 20
+
+
 def transition_monoid(d: Dfa, element_budget: Optional[int] = None) -> SyntacticMorphism:
     """Generate the transition monoid of `d` by BFS over transformations.
 
-    Elements are state maps, tuples of length n = |Q|, numbered in the
-    order one `explore` BFS discovers them from the identity; the image of
-    x under letter a is one C-level gather, `itemgetter(*x)(a's map)`, so a
-    node costs |A| calls, not |A|·n Python steps. The BFS keeps its right
-    Cayley graph `right[x, a]` = x·a, and the first edge reaching an element
-    gives its parent and last letter (its witness is the parent's plus that
-    letter: shortest, ties in alphabet order). The table is then filled
-    column by column in BFS order, x·y = (x·parent(y))·letter(y): |M|
-    gathers of length |M|, |M|² × 4 bytes (Froidure & Pin, "Algorithms for
-    computing finite semigroups", 1997).
+    Elements are state maps x: Q → Q, each kept as the bytes of its image
+    row x(0) … x(n−1), one byte per state when a state index fits in a byte
+    (n ≤ 256), two little-endian bytes otherwise. They are numbered in the
+    order one `explore` BFS discovers them from the identity. The image of
+    x under letter a, q ↦ a(x(q)), is one `bytes.translate` against a's
+    256-byte table; at the two-byte width one `np.take` maps x through
+    every letter at once.
+    The BFS keeps its right Cayley graph `right[x, a]` = x·a, and the first
+    edge reaching an element gives its parent and last letter (its witness
+    is the parent's plus that letter: shortest, ties in alphabet order).
+    x·y = (x·parent(y))·letter(y) fills the |M|² × 4-byte table one BFS
+    level at a time, since every parent lies one level up: one gather per
+    level, in column blocks of at most _FILL_ENTRIES entries (Froidure & Pin,
+    "Algorithms for computing finite semigroups", 1997).
 
     Raises BudgetError when the monoid would exceed the element budget
     (default 20000, overridable via HIERARCHY_ONE_BUDGET).
@@ -77,46 +84,62 @@ def transition_monoid(d: Dfa, element_budget: Optional[int] = None) -> Syntactic
     budget = element_budget if element_budget is not None else budget_from_env(DEFAULT_ELEMENT_BUDGET)
     n = d.states
     letters = d.alphabet
-    letter_vec = [tuple(d.delta[q][a] for q in range(n)) for a in range(len(letters))]
+    k = len(letters)
+    if n <= 256:
+        width = 1
+        tables = [bytes(row[a] for row in d.delta).ljust(256, b"\0") for a in range(k)]
 
-    def successors(vec: tuple[int, ...]) -> list[tuple[int, ...]]:
-        if n == 1:
-            # itemgetter of one index returns the item, not a 1-tuple; the
-            # one state of a complete DFA is fixed by every letter.
-            return [vec] * len(letter_vec)
-        get = itemgetter(*vec)
-        return [get(lv) for lv in letter_vec]
+        def successors(vec: bytes) -> list[bytes]:
+            return [vec.translate(t) for t in tables]
+    else:
+        width = 2
+        maps = np.array(d.delta, dtype="<u2").reshape(n, k).T  # maps[a, q] = a(q)
 
-    vectors, right = explore(tuple(range(n)), successors, budget,
+        def successors(vec: bytes) -> list[bytes]:
+            return [row.tobytes() for row in np.take(maps, np.frombuffer(vec, "<u2"), axis=1)]
+
+    identity = b"".join(q.to_bytes(width, "little") for q in range(n))
+    vectors, right = explore(identity, successors, budget,
                              stage=f"monoid BFS: DFA with {n} states", unit="element")
-    # The first edge of the Cayley graph reaching an element discovered it.
-    witnesses = [""] * len(vectors)
-    parent = [0] * len(vectors)
-    last_letter = [0] * len(vectors)
-    for x, edges in enumerate(right):
-        for a, y in enumerate(edges):
-            if y > x and not witnesses[y]:
-                witnesses[y] = witnesses[x] + letters[a]
-                parent[y], last_letter[y] = x, a
-
     count = len(vectors)
-    right_table = np.array(right, dtype=np.int32)
+    # The BFS numbers elements as it scans its edges row by row, so the edge
+    # that discovers y is the first with y == len(witnesses). When x starts
+    # a BFS level, the level before is expanded and x's level is known:
+    # `ends` marks where each level, cut into blocks of `step` columns, ends.
+    step = max(1, _FILL_ENTRIES // count)
+    witnesses, parent, last_letter, ends = [""], [0], [0], [1]
+    for x, edges in enumerate(right):
+        if x == ends[-1]:
+            ends.extend(range(x + step, len(witnesses), step))
+            ends.append(len(witnesses))
+        for a, y in enumerate(edges):
+            if y == len(witnesses):
+                witnesses.append(witnesses[x] + letters[a])
+                parent.append(x)
+                last_letter.append(a)
+
+    # x·y = (x·parent(y))·letter(y), and each parent lies one level up
+    right_table = np.array(right, dtype=np.int32).reshape(count, k)
+    parent = np.array(parent)
+    last_letter = np.array(last_letter)
     table = np.empty((count, count), dtype=np.int32)
     table[:, 0] = np.arange(count, dtype=np.int32)
-    for y in range(1, count):
-        table[:, y] = right_table[table[:, parent[y]], last_letter[y]]
+    for lo, hi in zip(ends, ends[1:]):
+        table[:, lo:hi] = right_table[table[:, parent[lo:hi]], last_letter[lo:hi]]
 
-    accepting = frozenset(x for x, vec in enumerate(vectors) if vec[d.initial] in d.finals)
-    nonempty = frozenset(x for edges in right for x in edges)
-    diag = table[np.arange(count), np.arange(count)]
-    idem_s = tuple(int(x) for x in np.nonzero(diag == np.arange(count))[0] if int(x) in nonempty)
+    at = d.initial * width
+    accepting = frozenset(x for x, vec in enumerate(vectors)
+                          if int.from_bytes(vec[at:at + width], "little") in d.finals)
+    nonempty = frozenset(right_table.ravel().tolist())
+    idempotents = np.flatnonzero(table.diagonal() == np.arange(count)).tolist()
+    idem_s = tuple(x for x in idempotents if x in nonempty)
 
     return SyntacticMorphism(
         alphabet=letters,
         element_count=count,
         table=table,
         identity=0,
-        letter_image={letters[a]: int(right_table[0, a]) for a in range(len(letters))},
+        letter_image={letters[a]: int(right_table[0, a]) for a in range(k)},
         accepting=accepting,
         witness=tuple(witnesses),
         nonempty_image=nonempty,

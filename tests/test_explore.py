@@ -533,3 +533,34 @@ def test_minimize_ignores_unreachable_states():
         unreachable += trimmed.states < d.states
         assert minimize(d) == minimize(trimmed)
     assert unreachable > 100
+
+
+def rotate_and_reset(n):
+    """n states on a cycle: a steps to the next state, b resets to state 0.
+    Its monoid is the n rotations and the n constant maps, 2n elements."""
+    return Dfa(alphabet=("a", "b"), states=n, initial=0, finals=frozenset({0}),
+               delta=[[(q + 1) % n, 0] for q in range(n)])
+
+
+def test_monoid_equals_the_bfs_it_replaced_at_the_byte_width_boundary():
+    # 256 states is the last count whose state maps take one byte per
+    # state, 257 the first that takes two
+    for n in (255, 256, 257):
+        d = rotate_and_reset(n)
+        assert transition_monoid(d).element_count == 2 * n
+        assert_same_monoid(d, 20000)
+        for budget in (1, n, 2 * n - 1):
+            assert outcome(transition_monoid, d, budget)[0] == "BudgetError"
+            assert_same_monoid(d, budget)
+
+
+def test_monoid_table_filled_in_blocks_equals_the_bfs_it_replaced(monkeypatch):
+    # with a 64-entry cap, a level of the table fill spans several blocks
+    monkeypatch.setattr("hierarchy_one.monoid._FILL_ENTRIES", 64)
+    rng = random.Random(64)
+    for k in range(6):
+        assert_same_monoid(minimize(compile_dfa(ladder(k), "ab")), 20000)
+    for _ in range(40):
+        d = random_minimal_dfa(rng, max_states=6, letters=rng.choice(("a", "ab", "abc")))
+        assert_same_monoid(d, rng.choice((2, 5, 20000)))
+    assert_same_monoid(rotate_and_reset(257), 20000)

@@ -1020,6 +1020,30 @@ def test_a_group_over_another_alphabet_fails_before_any_work():
             decide(source, alphabet, basis=group, budget=2)
 
 
+def test_a_base_made_from_a_group_keeps_its_alphabet():
+    # decide checks the Base's alphabet, so both basis forms fail alike
+    group = cyclic_length_group(3, "ab")
+    assert base_of(group).alphabet == ("a", "b")
+    assert all(base.alphabet is None for base in BASES.values())
+    for basis in (group, base_of(group)):
+        with pytest.raises(AlphabetError, match="^group alphabet 'ab' does not match the "
+                           "language's alphabet 'a'$"):
+            decide("(aa)*", "a", basis=basis, budget=2)
+    assert decide("(aa)*", "ab", basis=base_of(group)).basis == "CUSTOM:length-mod-3"
+
+
+@pytest.mark.parametrize("level", [None, 3, "middle"])
+def test_class_names_and_supports_read_level_as_decide_does(level):
+    message = f"^level must be pol or bpol, got {re.escape(repr(level))}$"
+    with pytest.raises(UsageError, match=message):
+        class_name("st", level, False)
+    for base in BASES.values():
+        with pytest.raises(UsageError, match=message):
+            base.supports(level, False)
+    with pytest.raises(UsageError, match=message):
+        decide("(ab)*", "ab", level=level)
+
+
 def test_decide_reads_a_pattern_and_its_automata_alike():
     # the unminimized compile_dfa output gives a larger monoid than the
     # syntactic one; decide minimizes every input the same way
