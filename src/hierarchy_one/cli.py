@@ -275,6 +275,7 @@ _CASE_FIELDS = {"plus": bool, "expect": bool, "basis": str, "level": str, "alpha
 
 
 def cmd_batch(args: argparse.Namespace) -> int:
+    positive_budget(args.workers, "--workers")
     with open(args.manifest, "r", encoding="utf-8") as fh:
         manifest = json.load(fh)
     cases = manifest.get("cases")
@@ -290,7 +291,7 @@ def cmd_batch(args: argparse.Namespace) -> int:
     run = functools.partial(_batch_case, budget=args.budget,
                             base_dir=os.path.dirname(os.path.abspath(args.manifest)))
 
-    workers = args.workers if args.workers else (os.cpu_count() or 1)
+    workers = args.workers or os.cpu_count() or 1
     if workers > 1 and len(cases) > 1:
         # imported here: the pool machinery costs more to import than the rest of cli
         from concurrent.futures import ProcessPoolExecutor

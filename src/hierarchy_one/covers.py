@@ -30,7 +30,7 @@ from .lang.dfa import (
 # includes and transition_monoid have no caller here; the benchmark tracer
 # (perfbench/spans.py) wraps them in this namespace too.
 from .lang.dfa import includes  # noqa: F401
-from .monoid import SyntacticMorphism, transition_monoid  # noqa: F401
+from .monoid import SyntacticMorphism, pair_index, products, transition_monoid  # noqa: F401
 
 DEFAULT_COVER_BUDGET = 256
 # Up-arrows per balanced union tree; each tree's union is then taken out of
@@ -141,7 +141,6 @@ def pgcov_cover(
 # Letters per batch of decomposition levels: bounds the scan arrays, whose
 # size would otherwise grow with the word.
 _CHUNK_LETTERS = 1 << 14
-_INT32_MAX = np.iinfo(np.int32).max
 
 
 def _letter_images(m: SyntacticMorphism, text: str) -> np.ndarray:
@@ -159,22 +158,10 @@ def _letter_images(m: SyntacticMorphism, text: str) -> np.ndarray:
     return images
 
 
-def _pair_index(table: np.ndarray, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """x·|M| + y elementwise: the position of the product x·y in the
-    flattened table, and a key that is equal exactly when both sides are."""
-    n = len(table)
-    return (x if n * n <= _INT32_MAX else x.astype(np.int64)) * n + y
-
-
-def _mul(table: np.ndarray, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """x·y elementwise, one gather from the flattened table."""
-    return np.take(table, _pair_index(table, x, y))
-
-
 def _reduce(table: np.ndarray, rows: np.ndarray) -> np.ndarray:
     """The product of each row, multiplying adjacent columns pairwise."""
     while rows.shape[1] > 1:
-        half = _mul(table, rows[:, 0:-1:2], rows[:, 1::2])
+        half = products(table, rows[:, 0:-1:2], rows[:, 1::2])
         if rows.shape[1] % 2:
             half = np.column_stack((half, rows[:, -1]))
         rows = half
@@ -189,9 +176,9 @@ def _scan(table: np.ndarray, rows: np.ndarray, reverse: bool = False) -> np.ndar
     shift = 1
     while shift < rows.shape[1]:
         if reverse:
-            rows[:, :-shift] = _mul(table, rows[:, :-shift], rows[:, shift:])
+            rows[:, :-shift] = products(table, rows[:, :-shift], rows[:, shift:])
         else:
-            rows[:, shift:] = _mul(table, rows[:, :-shift], rows[:, shift:])
+            rows[:, shift:] = products(table, rows[:, :-shift], rows[:, shift:])
         shift *= 2
     return rows
 
@@ -243,8 +230,8 @@ class GuardedDecomposition:
             return False  # a symbol outside the alphabet has no image
         left, right = images[:-1], images[1:]
         links = np.array(self.links, dtype=np.int32)
-        return bool((_mul(m.table, left, links) == left).all()
-                    and (_mul(m.table, links, right) == right).all())
+        return bool((products(m.table, left, links) == left).all()
+                    and (products(m.table, links, right) == right).all())
 
 
 def guarded_decomposition(m: SyntacticMorphism, word: str) -> GuardedDecomposition:
@@ -289,7 +276,7 @@ def guarded_decomposition(m: SyntacticMorphism, word: str) -> GuardedDecompositi
         prefixes = _scan(m.table, letters)
         suffixes = np.full_like(letters, m.identity)
         suffixes[:, :-1] = _scan(m.table, letters, reverse=True)[:, 1:]
-        keys = _pair_index(m.table, prefixes, suffixes).astype(key_type, copy=False)
+        keys = pair_index(m.element_count, prefixes, suffixes).astype(key_type, copy=False)
         # A stable sort keeps equal keys in position order, so the key after
         # position i, when equal, marks the smallest j > i colliding with i.
         order = np.argsort(keys, axis=1, kind="stable")

@@ -28,30 +28,3 @@ from .dfa import (
     minimize,
     words_of_length,
 )
-
-__all__ = [
-    "ALPHABET_CHARS",
-    "Concat",
-    "Dfa",
-    "Empty",
-    "Epsilon",
-    "Letter",
-    "Pattern",
-    "Plus",
-    "Star",
-    "Union",
-    "combine",
-    "compile_dfa",
-    "dfa_from_dict",
-    "dfa_to_dict",
-    "equivalent",
-    "includes",
-    "is_empty",
-    "is_permutation_automaton",
-    "minimal_dfa",
-    "minimize",
-    "normalize_alphabet",
-    "parse_pattern",
-    "pattern_to_text",
-    "words_of_length",
-]

@@ -4,16 +4,19 @@ Each checker sweeps its equation over the monoid and reports the first
 violation in lexicographic sweep order — (q, s) pairs outermost (sorted),
 then idempotents (e, f), then the inner (r, t) plane. GONE is WGONE with
 e = f = 1, and both run one class sweep: their sides factor into a row
-class of (e, X = eqf, r) and a column class of (e, Y = esf, t). A sweep of
-pairs · |E|² · |M|² ≤ _WHOLE_SWEEP entries is read off whole by
-`_whole_sweep`, which evaluates each distinct block (e, X, Y) once. A longer
-one is decided by `_class_walk` from its classes: a row class that meets
-every column class of its e holds for good, and each block is decided from
-which row classes fail against which column classes, without evaluating
-it. Likewise POLG is POLGP with e = 1, and both run one Pol sweep. Every
-refutation is built in one place, `_violation`. A verdict's witness can be
-re-derived: its words evaluate to its elements, and the equation sides
-recompute from the elements alone.
+class of (e, X = eqf, r) and a column class of (e, Y = esf, t), both read
+off the class vectors W_e[x] = (x·e)^ω and C_e[x] = (x·e)^{ω+1} of e: the
+row class is (W_e[X·r], W_e[X·r]·X), the column class (C_e[Y·t],
+t·W_e[Y·t]). The sweeps multiply arrays of elements by one gather,
+`monoid.products`. A sweep of pairs · |E|² · |M|² ≤ _WHOLE_SWEEP entries
+is read off whole by `_whole_sweep`, which evaluates each distinct block
+(e, X, Y) once. A longer one is decided by `_class_walk` from its classes:
+a row class that meets every column class of its e holds for good, and
+each block is decided from which row classes fail against which column
+classes, without evaluating it. Likewise POLG is POLGP with e = 1, and
+both run one Pol sweep. Every refutation is built in one place,
+`_violation`. A verdict's witness can be re-derived: its words evaluate to
+its elements, and the equation sides recompute from the elements alone.
 
 Equation tags:
   POLG   1 ≤ s                           (polynomial closure, group base)
@@ -38,7 +41,8 @@ from .lang.dfa import Dfa, input_alphabet, minimal_dfa
 # Unused here: perfbench/spans.py traces these names in this module too.
 from .lang.dfa import compile_dfa, minimize  # noqa: F401
 from .lang.patterns import Pattern, pattern_to_text
-from .monoid import OrderRelation, SyntacticMorphism, syntactic_preorder, transition_monoid
+from .monoid import (OrderRelation, SyntacticMorphism, products, syntactic_preorder,
+                     transition_monoid)
 from .pairs import (
     BASIS_AMT,
     BASIS_MOD,
@@ -135,18 +139,18 @@ def _pol_sweep(m: SyntacticMorphism, order: OrderRelation, rel: PairRelation,
     """e ≤ e s e for every e in `idem` and pair (1, s), as one [e, s] block
     split along e past _ENTRY_CAP entries: a block's first entry in C order
     is the first violation of the e, then s, sweep."""
-    table = np.asarray(m.table)
+    table = np.ascontiguousarray(m.table, dtype=np.int32)
     one = m.identity
-    candidates = np.nonzero(rel.matrix[one])[0]
-    idem = np.asarray(idem, dtype=np.intp)
+    candidates = np.flatnonzero(rel.matrix[one]).astype(np.int32)
+    idem = np.asarray(idem, dtype=np.int32)
     step = max(1, _ENTRY_CAP // max(1, len(candidates)))
     for lo in range(0, len(idem), step):
-        block = idem[lo:lo + step]
-        rhs = table[table[block][:, candidates], block[:, None]]     # [e, s] -> e s e
-        bad = ~order.matrix[block[:, None], rhs]
+        block = idem[lo:lo + step, None]
+        rhs = products(table, products(table, block, candidates), block)   # [e, s] -> e s e
+        bad = ~products(order.matrix, block, rhs)
         if bad.any():
             i, j = divmod(int(bad.argmax()), bad.shape[1])
-            e, s = int(block[i]), int(candidates[j])
+            e, s = int(block[i, 0]), int(candidates[j])
             elements = {"e": e, "s": s} if equation == EQ_POLGP else {"s": s}
             return _violation(m, equation, elements, e, rhs[i, j],
                               {"s": _pair_words(m, rel, one, s)[1]})
@@ -175,43 +179,56 @@ _ENTRY_CAP = 1 << 20
 _WHOLE_SWEEP = 1 << 16
 
 
-def _block_sides(table: np.ndarray, omega: np.ndarray, e: np.ndarray, x: np.ndarray,
-                 y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """[block, r, t] -> lhs = a·c and rhs = b·d of the blocks (e, X, Y): the
-    row class of (e, X, r) is (a, b) = ((Xre)^ω, (Xre)^ω X) and the column
-    class of (e, Y, t) is (c, d) = ((Yte)^{ω+1}, t (Yte)^ω)."""
-    a = omega[table[table[x], e[:, None]]]
-    yte = table[table[y], e[:, None]]
-    y_om = omega[yte]
-    lhs = table[a[:, :, None], table[y_om, yte][:, None, :]]
-    rhs = table[table[a, x[:, None]][:, :, None], table[np.arange(len(table)), y_om][:, None, :]]
+def _class_vectors(table: np.ndarray, omega: np.ndarray, idem: np.ndarray) -> tuple:
+    """[i, x] -> W = (x·e)^ω and C = (x·e)^{ω+1} for e = idem[i]: the row
+    class (W[i, X·r], W[i, X·r]·X) of (e, X, r) is ((Xre)^ω, (Xre)^ω X) and
+    the column class (C[i, Y·t], t·W[i, Y·t]) of (e, Y, t) is
+    ((Yte)^{ω+1}, t (Yte)^ω)."""
+    xe = table.T[idem]                       # [i, x] -> x·e
+    w = omega[xe]
+    return w, products(table, w, xe)
+
+
+def _block_sides(table: np.ndarray, w_vec: np.ndarray, c_vec: np.ndarray, i: np.ndarray,
+                 x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """[block, r, t] -> lhs = a·c and rhs = b·d of the blocks (e, X, Y), e
+    the idempotent of row i of the class vectors: (a, b) is the row class of
+    (e, X, r) and (c, d) the column class of (e, Y, t). The vectors are read
+    by plain indexing: a whole sweep's arrays are small, and there one numpy
+    call costs less than the three of a flat gather."""
+    i = i[:, None]
+    yt = table[y]                                            # [block, t] -> Y t
+    a = w_vec[i, table[x]]                                   # (Xre)^ω
+    d = products(table, np.arange(len(table)), w_vec[i, yt])
+    lhs = products(table, a[:, :, None], c_vec[i, yt][:, None, :])
+    rhs = products(table, products(table, a, x[:, None])[:, :, None], d[:, None, :])
     return lhs, rhs
 
 
-def _column_classes(table: np.ndarray, omega: np.ndarray, e: np.ndarray, local: np.ndarray,
-                    ezf: np.ndarray) -> tuple[np.ndarray, ...]:
-    """The column classes of one e block: its i-th e is e[i], local[i, 0, 0]
-    is i and ezf[i, s, f] is e s f. The class of (e, Z, t) is keyed
-    i·n² + c·n + d for (c, d) = ((Zte)^{ω+1}, t (Zte)^ω), and the classes
-    kept are those of each Y = esf. Returns [i, Z, t] -> the index of the
-    class of (e, Z, t), read for Z a Y only, and each class's i, c and d by
-    index. The keys are built in slabs of Z rows of about _WHOLE_SWEEP
-    entries into the one array that then holds the indices, so no
-    whole-block temporary exists."""
+def _column_classes(table: np.ndarray, vectors: tuple[np.ndarray, np.ndarray], e: np.ndarray,
+                    local: np.ndarray, ezf: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The column classes of one e block: its i-th e is e[i], with class
+    vectors w_vec[i] and c_vec[i] for (w_vec, c_vec) = `vectors`,
+    local[i, 0, 0] is i and ezf[i, s, f] is e s f. The class (c, d) of
+    (e, Z, t) is keyed i·n² + c·n + d, and the classes kept are those of
+    each Y = esf. Returns [i, Z, t] -> the index of the class of (e, Z, t),
+    read for Z a Y only, and each class's i, c and d by index. The keys are
+    built in slabs of Z rows of about _WHOLE_SWEEP entries into the one
+    array that then holds the indices, so no whole-block temporary exists."""
     n = len(table)
     nn = n * n
-    flat = table.ravel()                     # x·y is flat[x·n + y]
+    w_vec, c_vec = vectors
     is_y = np.zeros((len(e), n), dtype=bool)
     is_y[local, ezf] = True
-    t_n = np.arange(n) * n
+    t = np.arange(n, dtype=np.int32)
     step = max(1, _WHOLE_SWEEP // (len(e) * n))
     slabs = [slice(lo, lo + step) for lo in range(0, n, step)]
     col = np.empty((len(e), n, n), dtype=np.int32)
     marks = np.zeros(len(e) * nn, dtype=bool)
     for z in slabs:
-        zte = flat[table[z] * n + e[:, None, None]]     # Z t e
-        z_om = omega[zte]
-        keys = np.add((flat[z_om * n + zte] + local * n) * n, flat[t_n + z_om], out=col[:, z])
+        zt = table[z]                                        # Z t
+        d = products(table, t, products(w_vec, local, zt))   # t (Zte)^ω
+        keys = np.add((products(c_vec, local, zt) + local * n) * n, d, out=col[:, z])
         marks[keys[is_y[:, z]]] = True
     v = marks.nonzero()[0]
     cls = marks.cumsum(dtype=np.int32) - 1   # key of a class -> its index
@@ -224,13 +241,13 @@ def _column_classes(table: np.ndarray, omega: np.ndarray, e: np.ndarray, local: 
     return (col, v_e, *np.divmod(v_cd, n))
 
 
-def _whole_sweep(table: np.ndarray, omega: np.ndarray, idem: np.ndarray,
+def _whole_sweep(table: np.ndarray, w_vec: np.ndarray, c_vec: np.ndarray, idem: np.ndarray,
                  pairs: np.ndarray) -> Optional[tuple[int, ...]]:
     """The first violation of a sweep of at most _WHOLE_SWEEP entries, read
     off whole: every position (q, s, e, f) in sweep order, its block
     (e, X = eqf, Y = esf) evaluated once however many positions share it."""
     n, k = len(table), len(idem)
-    ezf = table[table[idem][:, :, None], idem]           # [e index, z, f index] -> e z f
+    ezf = products(table, table[idem][:, :, None], idem)  # [e index, z, f index] -> e z f
     q, s, i, j = np.broadcast_to(pairs[:, :, None, None], (n, n, k, k)).nonzero()
     blk = (i, ezf[i, q, j], ezf[i, s, j])                # (e index, X, Y)
     seen = np.zeros((k, n, n), dtype=bool)
@@ -240,7 +257,7 @@ def _whole_sweep(table: np.ndarray, omega: np.ndarray, idem: np.ndarray,
     at[i_b, x_b, y_b] = np.arange(len(i_b))
     at = at[blk]                                         # position -> its distinct block
     lhs, rhs = (side.reshape(len(i_b), -1)[at]
-                for side in _block_sides(table, omega, idem[i_b], x_b, y_b))
+                for side in _block_sides(table, w_vec, c_vec, i_b, x_b, y_b))
     h = int((lhs != rhs).argmax())
     if lhs.flat[h] == rhs.flat[h]:
         return None
@@ -249,7 +266,7 @@ def _whole_sweep(table: np.ndarray, omega: np.ndarray, idem: np.ndarray,
             int(lhs.flat[h]), int(rhs.flat[h]))
 
 
-def _class_walk(table: np.ndarray, omega: np.ndarray, idem: np.ndarray,
+def _class_walk(table: np.ndarray, w_vec: np.ndarray, c_vec: np.ndarray, idem: np.ndarray,
                 pairs: np.ndarray) -> Optional[tuple[int, ...]]:
     """The first violation of a sweep longer than _WHOLE_SWEEP, decided from
     its classes: a row class of (e, X, r) meets every column class of its e
@@ -273,20 +290,19 @@ def _class_walk(table: np.ndarray, omega: np.ndarray, idem: np.ndarray,
     of Y, so no block is evaluated.
 
     Only one e block's arrays are kept: its ezf, its column classes and the
-    row classes of its e known to hold, O(|M|²) whatever |E(S)| is. A later
+    row classes of its e known to hold, O(|M|²) whatever |E(S)| is; the
+    class vectors of every e take 2 · |E| · |M| entries. A later
     q group that needs another block rebuilds it; which X hold for good is
     kept for the whole sweep, one bool per (e, X), so a block whose X all
     hold is skipped."""
     n, k = len(table), len(idem)
     nn = n * n
-    flat = table.ravel()                     # x·y is flat[x·n + y]
     qs = pairs.any(axis=1).nonzero()[0]
     e_block = min(k, max(1, _ENTRY_CAP // (k * n ** 3)))
     group = max(1, _ENTRY_CAP // (e_block * k * n ** 3))
     starts = np.arange(0, k, e_block)        # the first e of each block
     built = None                             # the first e of the one block kept
     settled = np.zeros((k, n), dtype=bool)   # [e, X]: every row class of (e, X, r) holds
-    e_at = np.arange(0, k * n, n)[:, None, None]                # settled.ravel() offsets
 
     def class_first(gq, b, block, x, unset):
         """The first failing position of the unit (q in gq, e block b), in
@@ -297,8 +313,8 @@ def _class_walk(table: np.ndarray, omega: np.ndarray, idem: np.ndarray,
         live[local, x] = unset
         li, lx = live.nonzero()
         # [live (e, X), r] -> the row class of (e, X, r)
-        a = omega[flat[table[lx] * n + e[li, None]]]                      # (Xre)^ω
-        rows = (a + li[:, None] * n) * np.intp(n) + flat[a * n + lx[:, None]]
+        a = products(w_vec, b + li[:, None], table[lx])                  # (Xre)^ω
+        rows = (a + li[:, None] * n) * np.intp(n) + products(table, a, lx[:, None])
         new = ~held[rows]
         if not new.any():                    # every row class of these X holds
             settled[b + li, lx] = True
@@ -314,13 +330,11 @@ def _class_walk(table: np.ndarray, omega: np.ndarray, idem: np.ndarray,
         x_rows[np.repeat(bit, new.sum(axis=1)), np.searchsorted(fresh, keys)] = True
         f_e, f_ab = np.divmod(fresh[:, None], nn)
         f_a, f_b = np.divmod(f_ab, n)
-        f_a *= n                             # a·n and b·n, to read a·c and b·d off flat
-        f_b *= n
         x_fails = np.zeros((len(x_rows), len(v_e) + 1), dtype=bool)   # index -1 reads 0
         step = max(1, _ENTRY_CAP // max(1, len(fresh)))
         for c in range(0, len(v_e), step):
             w = slice(c, c + step)
-            neq = (flat[f_a + v_c[w]] != flat[f_b + v_d[w]]) & (f_e == v_e[w])
+            neq = (products(table, f_a, v_c[w]) != products(table, f_b, v_d[w])) & (f_e == v_e[w])
             held[fresh[neq.any(axis=1)]] = False
             x_fails[:, c:c + neq.shape[1]] = x_rows @ neq
         open_x = (~held[rows]).any(axis=1)     # a row class of X fails
@@ -349,8 +363,8 @@ def _class_walk(table: np.ndarray, omega: np.ndarray, idem: np.ndarray,
         c, d = v_c[at], v_d[at]
         step = max(1, _WHOLE_SWEEP // n)
         for lo in range(0, n, step):
-            lhs = flat[a[p, lo:lo + step, None] * n + c]
-            rhs = flat[(rows[p, lo:lo + step, None] % n) * n + d]
+            lhs = products(table, a[p, lo:lo + step, None], c)
+            rhs = products(table, rows[p, lo:lo + step, None] % n, d)
             h = int((lhs != rhs).argmax())
             if lhs.flat[h] != rhs.flat[h]:
                 r, t = divmod(h, n)
@@ -363,8 +377,8 @@ def _class_walk(table: np.ndarray, omega: np.ndarray, idem: np.ndarray,
         first = None                         # the group's first failing position
         # [e, q, f] -> X = eqf and whether it may still fail; a block of e
         # whose X all hold is skipped
-        x_all = table[table[idem[:, None], gq][..., None], idem]
-        unset = ~settled.ravel()[x_all + e_at]
+        x_all = products(table, products(table, idem[:, None], gq)[..., None], idem)
+        unset = ~products(settled, np.arange(k)[:, None, None], x_all)
         todo = np.logical_or.reduceat(unset.reshape(k, -1).any(axis=1), starts)
         for b in starts[todo].tolist():
             if b != built:
@@ -375,8 +389,9 @@ def _class_walk(table: np.ndarray, omega: np.ndarray, idem: np.ndarray,
                 block = None
                 e = idem[b:b + e_block]
                 local = np.arange(len(e), dtype=np.int32)[:, None, None]
-                ezf = table[table[e][:, :, None], idem]
-                block = (e, local, ezf, _column_classes(table, omega, e, local, ezf),
+                ezf = products(table, table[e][:, :, None], idem)
+                vectors = (w_vec[b:b + e_block], c_vec[b:b + e_block])
+                block = (e, local, ezf, _column_classes(table, vectors, e, local, ezf),
                          np.zeros(len(e) * nn, dtype=bool))
                 built = b
             found = class_first(gq, b, block, x_all[b:b + e_block], unset[b:b + e_block])
@@ -407,7 +422,8 @@ def _class_sweep(m: SyntacticMorphism, rel: PairRelation, idem: tuple[int, ...],
     if not pairs.any():                      # also when S, and with it idem, is empty
         return Verdict(True, equation)
     whole = int(pairs.sum()) * len(idem) ** 2 * n * n <= _WHOLE_SWEEP
-    first = (_whole_sweep if whole else _class_walk)(table, _omega_all(m), idem, pairs)
+    first = (_whole_sweep if whole else _class_walk)(
+        table, *_class_vectors(table, _omega_all(m), idem), idem, pairs)
     if first is None:
         return Verdict(True, equation)
     q, s, i, j, r, t, lhs, rhs = first
@@ -678,9 +694,13 @@ class Report:
 
     @staticmethod
     def from_dict(data: dict) -> "Report":
-        """The Report `to_dict` wrote; ValueError for a flag that is not a JSON boolean."""
-        for key in ("plus", "member", "certified"):
-            if not isinstance(data[key], bool):
+        """The Report `to_dict` wrote; ValueError naming a required field that
+        is missing or a flag that is not a JSON boolean."""
+        for key in ("input", "alphabet", "basis", "level", "plus", "dfa_states", "monoid_size",
+                    "member", "equation", "certified"):
+            if key not in data:
+                raise ValueError(f"report field {key!r} is missing")
+            if key in ("plus", "member", "certified") and not isinstance(data[key], bool):
                 raise ValueError(f"report field {key!r} must be true or false, got {data[key]!r}")
         return Report(
             input_text=data["input"],

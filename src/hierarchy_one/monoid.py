@@ -56,6 +56,22 @@ class SyntacticMorphism:
         raise AssertionError("no idempotent power found; table is not a monoid")
 
 
+_INT32_MAX = np.iinfo(np.int32).max
+
+
+def pair_index(n: int, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """x·n + y, x and y broadcast: where entry (x, y) of an n-column table
+    lies once flattened, and a key equal exactly when both sides are. x is
+    widened to intp when n² passes int32, and keeps its type otherwise."""
+    return (x if n * n <= _INT32_MAX else np.asarray(x).astype(np.intp)) * n + y
+
+
+def products(table: np.ndarray, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """table[x, y], x and y broadcast, as one gather from the flattened
+    table: the one way arrays of elements are multiplied."""
+    return table.take(pair_index(table.shape[1], x, y))
+
+
 # Entries of one block of the table fill's gathers, bounding its temporaries.
 _FILL_ENTRIES = 1 << 20
 

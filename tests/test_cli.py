@@ -398,6 +398,18 @@ def test_batch_rejects_mistyped_fields_before_any_case_runs(tmp_path, capsys, mo
     assert err.startswith(f"error: case 1: '{field}' must be ")
 
 
+@pytest.mark.parametrize("workers", ["0", "-3"])
+def test_batch_non_positive_workers_are_usage_errors(tmp_path, capsys, monkeypatch, workers):
+    # rejected before the manifest is read or any case runs, as --budget is
+    ran = []
+    monkeypatch.setattr(cli, "_batch_case", lambda case, **kwargs: ran.append(case))
+    path = tmp_path / "golden.json"
+    path.write_text(json.dumps(golden_manifest()))
+    assert main(["batch", str(path), "--workers", workers]) == 2
+    out, err = capsys.readouterr()
+    assert (out, err, ran) == ("", f"error: --workers must be positive, got {workers}\n", [])
+
+
 def test_batch_empty_manifest_is_ok(tmp_path, capsys):
     path = tmp_path / "empty.json"
     path.write_text(json.dumps({"cases": []}))

@@ -786,6 +786,22 @@ def test_wgone_peak_does_not_grow_with_the_idempotents():
     assert peak < 16 * n * n * 4
 
 
+def test_class_vectors_are_the_omega_powers_of_x_e(morphism_corpus):
+    # W[i, x] = (x·e)^ω and C[i, x] = (x·e)^{ω+1} for e = idem[i], against the
+    # scalar omega, over E(S) ∪ {1} on the corpus and the ladders up to |M| = 511
+    monoids = [m for _, m in morphism_corpus] + [nth_letter_from_end(k) for k in range(1, 9)]
+    for m in monoids:
+        table = np.ascontiguousarray(m.table, dtype=np.int32)
+        idem = np.array(sorted({m.identity, *m.idempotents_s}), dtype=np.int32)
+        w, c = membership._class_vectors(table, membership._omega_all(m), idem)
+        assert w.shape == c.shape == (len(idem), m.element_count)
+        for i, e in enumerate(idem.tolist()):
+            y = [m.mul(x, e) for x in range(m.element_count)]
+            omega = [m.omega(v) for v in y]
+            assert w[i].tolist() == omega
+            assert c[i].tolist() == [m.mul(z, v) for z, v in zip(omega, y)]
+
+
 def counted_column_classes(monkeypatch):
     """Patch membership._column_classes to record the e of each block built."""
     built = []
@@ -905,6 +921,23 @@ def test_report_flags_must_be_json_booleans(key):
         with pytest.raises(ValueError, match=f"^report field '{key}' must be true or false, "
                            f"got {re.escape(repr(value))}$"):
             Report.from_dict(dict(data, **{key: value}))
+
+
+@pytest.mark.parametrize("key", ["input", "alphabet", "basis", "level", "plus", "dfa_states",
+                                 "monoid_size", "member", "equation", "certified"])
+def test_report_without_a_required_field_is_a_value_error(key):
+    data = decide("(ab)*", "ab").to_dict()
+    del data[key]
+    with pytest.raises(ValueError, match=f"^report field '{key}' is missing$"):
+        Report.from_dict(data)
+
+
+def test_report_without_its_optional_fields_still_loads():
+    report = decide("(ab)*", "ab")
+    data = report.to_dict()
+    for key in ("witness", "pair_count", "elapsed_s"):
+        del data[key]
+    assert Report.from_dict(data) == replace(report, witness=None, pair_count=None, elapsed_s=0.0)
 
 
 def test_class_names():

@@ -12,6 +12,8 @@ from hierarchy_one.lang import Dfa, compile_dfa, minimize
 from hierarchy_one.monoid import (
     is_group,
     monoid_to_dict,
+    pair_index,
+    products,
     stable_sequence,
     syntactic_preorder,
     transition_monoid,
@@ -324,3 +326,27 @@ def test_monoid_documents_equal_the_entry_loop(morphism_corpus):
     for m in [m for _, m in morphism_corpus] + ladders:
         order = syntactic_preorder(m)
         assert json.dumps(monoid_to_dict(m, order)) == json.dumps(loop_monoid_to_dict(m, order))
+
+
+def test_pair_index_widens_to_intp_exactly_past_int32():
+    # 46 340² = 2 147 395 600 fits int32 and 46 341² = 2 147 488 281 does not:
+    # the last index n² − 1 would wrap in int32 arithmetic; no table is built
+    for n, dtype in ((46340, np.int32), (46341, np.intp)):
+        x = np.array([0, 1, n // 2, n - 1, n - 1], dtype=np.int32)
+        y = np.array([0, n - 1, 7, 0, n - 1], dtype=np.int32)
+        index = pair_index(n, x, y)
+        assert index.dtype == dtype
+        assert index.tolist() == [a * n + b for a, b in zip(x.tolist(), y.tolist())]
+    assert pair_index(46341, x, y)[-1] == 46341 ** 2 - 1 > np.iinfo(np.int32).max
+
+
+def test_products_are_table_lookups_under_broadcasting():
+    rng = np.random.default_rng(11)
+    m = transition_monoid(ladder_dfa(4))
+    n = m.element_count
+    x = rng.integers(0, n, size=(6, 1), dtype=np.int32)
+    y = rng.integers(0, n, size=(1, 9), dtype=np.int32)
+    assert np.array_equal(products(m.table, x, y), m.table[x, y])
+    rows = rng.integers(0, 3, size=(4, 1))
+    bits = rng.random((3, n)) < 0.5            # a non-square table: entry [row, x]
+    assert np.array_equal(products(bits, rows, y), bits[rows, y])
