@@ -6,12 +6,7 @@ whether L belongs to Pol(G), BPol(G), Pol(G⁺), or BPol(G⁺) by checking the
 characteristic inequations on the syntactic monoid of L.
 """
 
-from .errors import (
-    AlphabetError,
-    BudgetError,
-    PatternError,
-    UsageError,
-)
+from .errors import AlphabetError, BudgetError, PatternError, UsageError
 from .lang import (
     Dfa,
     Pattern,

@@ -20,21 +20,10 @@ from typing import Optional, Sequence, Union
 
 from .covers import guarded_decomposition, pgcov_cover
 from .errors import BUDGET_ENV_VAR, BudgetError, UsageError, positive_budget
-from .lang.dfa import (
-    Dfa,
-    dfa_from_dict,
-    dfa_to_dict,
-    is_permutation_automaton,
-    minimal_dfa,
-)
+from .lang.dfa import Dfa, dfa_from_dict, dfa_to_dict, is_permutation_automaton, minimal_dfa
 from .membership import BASES, LEVELS, Base, Report, base_of, class_name, decide, pair_relation
-from .monoid import (
-    SyntacticMorphism,
-    monoid_to_dict,
-    stable_sequence,
-    syntactic_preorder,
-    transition_monoid,
-)
+from .monoid import (SyntacticMorphism, monoid_to_dict, stable_sequence, syntactic_preorder,
+                     transition_monoid)
 from .pairs import GroupPresentation, group_from_dict, pairs_to_dict
 # Unused here: perfbench/spans.py traces these names in this module too.
 from .lang.dfa import compile_dfa, minimize  # noqa: F401

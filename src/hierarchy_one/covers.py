@@ -16,7 +16,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import DEFAULT_STATE_BUDGET, AlphabetError, UsageError, budget_from_env
+from .errors import DEFAULT_STATE_BUDGET, AlphabetError, UsageError, budget_from_env, positive_budget
 from .lang.dfa import (
     Dfa,
     combine,
@@ -47,7 +47,7 @@ def up_arrow(l_dfa: Dfa, word: str, state_budget: Optional[int] = None) -> Dfa:
     Built as an NFA of n+1 copies of L's automaton with a bridge per letter
     of `word` (final state of copy i → initial of copy i+1), then
     determinized. Node c·|Q| + q is state q of copy c."""
-    budget = budget_from_env(DEFAULT_STATE_BUDGET) if state_budget is None else state_budget
+    budget = positive_budget(state_budget, "state_budget") or budget_from_env(DEFAULT_STATE_BUDGET)
     n_states = l_dfa.states
     last = len(word) * n_states  # the first node of the last copy
     steps = [[1 << (c + t) for c in range(0, last + n_states, n_states) for t in column]
@@ -104,7 +104,9 @@ def pgcov_cover(
     words of H that no chosen arrow holds yet; its shortest word gives the
     layer's length, one search lists the layer, and the layer's up-arrows,
     merged in balanced trees of `_MERGE_WIDTH`, are taken out of it."""
-    budget = max_bases if max_bases is not None else DEFAULT_COVER_BUDGET
+    if max_bases is not None and (type(max_bases) is not int or max_bases < 0):
+        raise UsageError(f"max_bases must be a non-negative integer, got {max_bases!r}")
+    budget = DEFAULT_COVER_BUDGET if max_bases is None else max_bases
     h_min = minimize(h_dfa)
     l_min = minimize(l_dfa)
     if h_min.alphabet != l_min.alphabet:

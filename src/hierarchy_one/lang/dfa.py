@@ -13,7 +13,8 @@ from dataclasses import dataclass, field
 from itertools import chain, compress, repeat
 from typing import Callable, Hashable, Iterable, Mapping, Optional, Sequence, Union as TyUnion
 
-from ..errors import AlphabetError, BudgetError, DEFAULT_STATE_BUDGET, UsageError, budget_from_env
+from ..errors import (AlphabetError, BudgetError, DEFAULT_STATE_BUDGET, UsageError, budget_from_env,
+                      positive_budget)
 from .patterns import (
     Concat,
     Empty,
@@ -290,7 +291,7 @@ def compile_dfa(
     alpha = normalize_alphabet(alphabet)
     if isinstance(pattern, str):
         pattern = parse_pattern(pattern, alpha)
-    budget = state_budget if state_budget is not None else budget_from_env(DEFAULT_STATE_BUDGET)
+    budget = positive_budget(state_budget, "state_budget") or budget_from_env(DEFAULT_STATE_BUDGET)
     follow, of_letter, accepting = _position_automaton(pattern, alpha)
     return determinize(alpha, [[f & mask for f in follow] for mask in of_letter], 1, accepting,
                        budget, stage=f"subset construction: NFA with {len(follow)} nodes")
@@ -385,6 +386,7 @@ def minimal_dfa(
     `input_alphabet(source, alphabet)`, which raises the two input errors:
     its transition monoid is the syntactic monoid. `state_budget` caps the
     pattern's subset construction, as in `compile_dfa`."""
+    positive_budget(state_budget, "state_budget")
     over = input_alphabet(source, alphabet)
     if not isinstance(source, Dfa):
         source = compile_dfa(source, over, state_budget=state_budget)

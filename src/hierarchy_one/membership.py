@@ -136,16 +136,15 @@ def _violation(m: SyntacticMorphism, equation: str, elements: dict[str, int], lh
 
 def _pol_sweep(m: SyntacticMorphism, order: OrderRelation, rel: PairRelation,
                idem: tuple[int, ...], equation: str) -> Verdict:
-    """e ≤ e s e for every e in `idem` and pair (1, s), as one [e, s] block
-    split along e past _ENTRY_CAP entries: a block's first entry in C order
-    is the first violation of the e, then s, sweep."""
+    """e ≤ e s e for every e in `idem` and pair (1, s), as [e, s] blocks of
+    at most _WHOLE_SWEEP entries (one e at least): a block's first entry in
+    C order is the first violation of the e, then s, sweep."""
     table = np.ascontiguousarray(m.table, dtype=np.int32)
     one = m.identity
     candidates = np.flatnonzero(rel.matrix[one]).astype(np.int32)
     idem = np.asarray(idem, dtype=np.int32)
-    step = max(1, _ENTRY_CAP // max(1, len(candidates)))
-    for lo in range(0, len(idem), step):
-        block = idem[lo:lo + step, None]
+    for rows in _slabs(len(idem), len(candidates)):
+        block = idem[rows, None]
         rhs = products(table, products(table, block, candidates), block)   # [e, s] -> e s e
         bad = ~products(order.matrix, block, rhs)
         if bad.any():
@@ -168,15 +167,22 @@ def check_pol_group_plus(m: SyntacticMorphism, order: OrderRelation, rel: PairRe
     return _pol_sweep(m, order, rel, m.idempotents_s, EQ_POLGP)
 
 
-# Entries of a KNAST or Pol sweep block, and the (r, t) entries that one unit of
-# the class walk stands for (see _class_walk): temporaries of a few tens of MB.
+# Entries of a KNAST sweep block, and the (r, t) entries that one unit of the
+# class walk stands for (see _class_walk): temporaries of a few tens of MB.
 _ENTRY_CAP = 1 << 20
 
 # Sweeps of at most this many entries are read off whole: deciding one from
 # its classes would take dozens of numpy calls more than that. Longer sweeps
-# build their column classes, and read off their witness, in slabs of about
-# this many entries.
+# build their column classes, fail relations, class bits and witness, and the
+# Pol sweep its [e, s] blocks, in slabs of about this many entries (_slabs).
 _WHOLE_SWEEP = 1 << 16
+
+
+def _slabs(count: int, width: int) -> list[slice]:
+    """range(count) cut into slices of about _WHOLE_SWEEP entries, an index
+    standing for `width` entries: one index a slice at least."""
+    step = max(1, _WHOLE_SWEEP // max(1, width))
+    return [slice(lo, min(lo + step, count)) for lo in range(0, count, step)]
 
 
 def _class_vectors(table: np.ndarray, omega: np.ndarray, idem: np.ndarray) -> tuple:
@@ -212,17 +218,17 @@ def _column_classes(table: np.ndarray, vectors: tuple[np.ndarray, np.ndarray], e
     local[i, 0, 0] is i and ezf[i, s, f] is e s f. The class (c, d) of
     (e, Z, t) is keyed i·n² + c·n + d, and the classes kept are those of
     each Y = esf. Returns [i, Z, t] -> the index of the class of (e, Z, t),
-    read for Z a Y only, and each class's i, c and d by index. The keys are
-    built in slabs of Z rows of about _WHOLE_SWEEP entries into the one
-    array that then holds the indices, so no whole-block temporary exists."""
+    read for Z a Y only, and each class's i, c and d by index. Keys, then
+    indices, are written in slabs of Z rows of about _WHOLE_SWEEP entries
+    into the one array returned, and the key -> index map is int16 while
+    fewer than 2^15 classes fit it: no temporary outgrows half that array."""
     n = len(table)
     nn = n * n
     w_vec, c_vec = vectors
     is_y = np.zeros((len(e), n), dtype=bool)
     is_y[local, ezf] = True
     t = np.arange(n, dtype=np.int32)
-    step = max(1, _WHOLE_SWEEP // (len(e) * n))
-    slabs = [slice(lo, lo + step) for lo in range(0, n, step)]
+    slabs = _slabs(n, len(e) * n)
     col = np.empty((len(e), n, n), dtype=np.int32)
     marks = np.zeros(len(e) * nn, dtype=bool)
     for z in slabs:
@@ -231,8 +237,13 @@ def _column_classes(table: np.ndarray, vectors: tuple[np.ndarray, np.ndarray], e
         keys = np.add((products(c_vec, local, zt) + local * n) * n, d, out=col[:, z])
         marks[keys[is_y[:, z]]] = True
     v = marks.nonzero()[0]
-    cls = marks.cumsum(dtype=np.int32) - 1   # key of a class -> its index
     del marks
+    # key of a class -> its index: the count of class keys up to it, less one (so
+    # -1 below the first), summed in place, where a cast would copy every entry
+    cls = np.zeros(len(e) * nn, dtype=np.int16 if len(v) < 1 << 15 else np.int32)
+    cls[v] = 1
+    cls[0] -= 1
+    np.cumsum(cls, out=cls)
     for z in slabs:
         keys = col[:, z]
         keys[...] = cls[keys]
@@ -278,8 +289,8 @@ def _class_walk(table: np.ndarray, w_vec: np.ndarray, c_vec: np.ndarray, idem: n
     group · e_block · |E| · |M|³ are at most _ENTRY_CAP, or the group and
     block are one q and one e. What the walk does build per unit is the
     [i, q, s, f] grid of its positions, |M|² times smaller, and the arrays
-    of one e block, e_block · |M|² entries; the fail relation is folded in
-    chunks of at most _ENTRY_CAP entries.
+    of one e block, e_block · |M|² entries; the fail relation and the class
+    bits of the Y are built in slabs of about _WHOLE_SWEEP entries.
 
     Each unit evaluates its row classes not yet known to hold against the
     column classes of their e, and folds that fail relation into bits: a
@@ -331,12 +342,10 @@ def _class_walk(table: np.ndarray, w_vec: np.ndarray, c_vec: np.ndarray, idem: n
         f_e, f_ab = np.divmod(fresh[:, None], nn)
         f_a, f_b = np.divmod(f_ab, n)
         x_fails = np.zeros((len(x_rows), len(v_e) + 1), dtype=bool)   # index -1 reads 0
-        step = max(1, _ENTRY_CAP // max(1, len(fresh)))
-        for c in range(0, len(v_e), step):
-            w = slice(c, c + step)
+        for w in _slabs(len(v_e), len(fresh)):
             neq = (products(table, f_a, v_c[w]) != products(table, f_b, v_d[w])) & (f_e == v_e[w])
             held[fresh[neq.any(axis=1)]] = False
-            x_fails[:, c:c + neq.shape[1]] = x_rows @ neq
+            x_fails[:, w] = x_rows @ neq
         open_x = (~held[rows]).any(axis=1)     # a row class of X fails
         settled[b + li, lx] = ~open_x
         if not open_x.any():
@@ -346,7 +355,9 @@ def _class_walk(table: np.ndarray, w_vec: np.ndarray, c_vec: np.ndarray, idem: n
         # fails exactly when Y carries X's bit
         words = _bit_words(x_fails)
         size = 8 * words.itemsize
-        y_bits = np.bitwise_or.reduce(np.take(words, cls, axis=1), axis=3)
+        y_bits = np.empty(words.shape[:1] + live.shape, dtype=words.dtype)
+        for z in _slabs(n, len(e) * n):
+            np.bitwise_or.reduce(np.take(words, cls[:, z], axis=1), axis=3, out=y_bits[:, :, z])
         x_bit = np.zeros((len(words),) + live.shape, dtype=words.dtype)
         x_bit[bit // size, li, lx] = words.dtype.type(1) << (bit % size).astype(words.dtype)
         hit = (y_bits[:, local, ezf][:, :, None] & x_bit[:, local, x][:, :, :, None]).any(axis=0)
@@ -361,14 +372,13 @@ def _class_walk(table: np.ndarray, w_vec: np.ndarray, c_vec: np.ndarray, idem: n
         p = np.flatnonzero((li == i) & (lx == x[i, qi, j]))[0]
         at = cls[i, ezf[i, s, j]]
         c, d = v_c[at], v_d[at]
-        step = max(1, _WHOLE_SWEEP // n)
-        for lo in range(0, n, step):
-            lhs = products(table, a[p, lo:lo + step, None], c)
-            rhs = products(table, rows[p, lo:lo + step, None] % n, d)
+        for rs in _slabs(n, n):
+            lhs = products(table, a[p, rs, None], c)
+            rhs = products(table, rows[p, rs, None] % n, d)
             h = int((lhs != rhs).argmax())
             if lhs.flat[h] != rhs.flat[h]:
                 r, t = divmod(h, n)
-                return (int(qi), int(s), b + int(i), int(j), lo + r, t,
+                return (int(qi), int(s), b + int(i), int(j), rs.start + r, t,
                         int(lhs.flat[h]), int(rhs.flat[h]))
         return None
 

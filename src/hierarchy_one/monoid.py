@@ -12,7 +12,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import DEFAULT_ELEMENT_BUDGET, budget_from_env
+from .errors import DEFAULT_ELEMENT_BUDGET, budget_from_env, positive_budget
 from .lang.dfa import Dfa, explore
 
 
@@ -73,7 +73,7 @@ def products(table: np.ndarray, x: np.ndarray, y: np.ndarray) -> np.ndarray:
 
 
 # Entries of one block of the table fill's gathers, bounding its temporaries.
-_FILL_ENTRIES = 1 << 20
+_FILL_ENTRIES = 1 << 16
 
 
 def transition_monoid(d: Dfa, element_budget: Optional[int] = None) -> SyntacticMorphism:
@@ -91,13 +91,13 @@ def transition_monoid(d: Dfa, element_budget: Optional[int] = None) -> Syntactic
     is the parent's plus that letter: shortest, ties in alphabet order).
     x·y = (x·parent(y))·letter(y) fills the |M|² × 4-byte table one BFS
     level at a time, since every parent lies one level up: one gather per
-    level, in column blocks of at most _FILL_ENTRIES entries (Froidure & Pin,
-    "Algorithms for computing finite semigroups", 1997).
+    level, in column blocks of at most _FILL_ENTRIES = 2^16 entries (Froidure
+    & Pin, "Algorithms for computing finite semigroups", 1997).
 
-    Raises BudgetError when the monoid would exceed the element budget
-    (default 20000, overridable via HIERARCHY_ONE_BUDGET).
+    Raises BudgetError past the element budget (default 20000, overridable
+    via HIERARCHY_ONE_BUDGET), UsageError if it is not a positive int.
     """
-    budget = element_budget if element_budget is not None else budget_from_env(DEFAULT_ELEMENT_BUDGET)
+    budget = positive_budget(element_budget, "element_budget") or budget_from_env(DEFAULT_ELEMENT_BUDGET)
     n = d.states
     letters = d.alphabet
     k = len(letters)
@@ -183,22 +183,23 @@ def syntactic_preorder(m: SyntacticMorphism) -> OrderRelation:
     """Greatest relation with s∈F ⇒ t∈F that is closed under translation
     by the letter generators on either side; equals the context definition.
 
-    Each round intersects leq with its translates leq[g·s, g·t] and
+    Each round ANDs into leq, in place, its translates leq[g·s, g·t] and
     leq[s·g, t·g] for every generator g, each gathered rows first and then
-    columns, `leq[left][:, left]`: two passes over |M|² bytes that read
-    whole rows, where one 2-D fancy gather reads entry by entry."""
+    columns, `leq[side][:, side]`: two passes over |M|² bytes that read
+    whole rows, where one 2-D fancy gather reads entry by entry. Each
+    relation on the way holds the greatest fixed point, reached by the first
+    round that removes no pair; at most 3|M|² bytes are live."""
     n = m.element_count
     acc = np.zeros(n, dtype=bool)
     acc[sorted(m.accepting)] = True
     leq = ~acc[:, None] | acc[None, :]
     gens = sorted(set(m.letter_image.values()))
     while True:
-        prev = leq
+        related = np.count_nonzero(leq)
         for g in gens:
-            left = np.asarray(m.table[g, :])
-            right = np.asarray(m.table[:, g])
-            leq = leq & leq[left][:, left] & leq[right][:, right]
-        if np.array_equal(prev, leq):
+            for side in (m.table[g, :], m.table[:, g]):
+                leq &= leq[side][:, side]
+        if np.count_nonzero(leq) == related:
             return OrderRelation(matrix=leq)
 
 

@@ -31,7 +31,8 @@ from typing import Callable, Iterable, Iterator, Mapping, Optional
 
 import numpy as np
 
-from .errors import AlphabetError, BudgetError, DEFAULT_GROUP_NODE_BUDGET, budget_from_env
+from .errors import (AlphabetError, BudgetError, DEFAULT_GROUP_NODE_BUDGET, budget_from_env,
+                     positive_budget)
 from .lang.dfa import explore
 from .monoid import SyntacticMorphism, first_without_inverse, stable_sequence
 
@@ -538,7 +539,7 @@ def amt_pairs(
     Witness words come from a BFS over (Z/q)^A × M, q = lcm(1..|M|) or the
     largest lcm(1..k) within the node budget, run when a witness is first
     asked for: each AMT pair is a pair of that group too."""
-    budget = node_budget if node_budget is not None else budget_from_env(DEFAULT_GROUP_NODE_BUDGET)
+    budget = positive_budget(node_budget, "node_budget") or budget_from_env(DEFAULT_GROUP_NODE_BUDGET)
     n, k = m.element_count, len(m.alphabet)
 
     @functools.cache

@@ -14,8 +14,9 @@ import numpy as np
 import pytest
 
 from hierarchy_one import membership
+from hierarchy_one.covers import pgcov_cover, up_arrow
 from hierarchy_one.errors import AlphabetError, UsageError
-from hierarchy_one.lang import Dfa, combine, compile_dfa, minimize
+from hierarchy_one.lang import Dfa, combine, compile_dfa, minimal_dfa, minimize
 from hierarchy_one.lang.dfa import dfa_from_dict
 from hierarchy_one.lang.patterns import Concat, Letter
 from hierarchy_one.membership import (
@@ -41,7 +42,7 @@ from hierarchy_one.membership import (
     pair_relation,
     verify_witness,
 )
-from hierarchy_one.monoid import syntactic_preorder, transition_monoid
+from hierarchy_one.monoid import products, syntactic_preorder, transition_monoid
 from hierarchy_one.pairs import (
     amt_pairs,
     cyclic_length_group,
@@ -324,8 +325,9 @@ def per_e_pol_group_plus(m, order, rel):
 
 def test_pol_group_plus_verdict_matches_the_per_e_loop(morphism_corpus, monkeypatch):
     # whole Verdicts, witness words included, over ST, MOD and AMT pairs,
-    # AMT on a slice since an AMT witness runs a group BFS of ~0.1 s; an
-    # entry cap of 2|M| splits each block into rows of two or more e
+    # AMT on a slice since an AMT witness runs a group BFS of ~0.1 s; the
+    # [e, s] blocks are sized by _WHOLE_SWEEP, so an entry cap of 2|M| leaves
+    # them as they are (the test below splits them)
     refuted = 0
     for i, (_, m) in enumerate(morphism_corpus):
         order = syntactic_preorder(m)
@@ -337,6 +339,22 @@ def test_pol_group_plus_verdict_matches_the_per_e_loop(morphism_corpus, monkeypa
                 assert check_pol_group_plus(m, order, rel) == expected
             refuted += not expected.member
     assert refuted > 100
+
+
+def test_pol_group_plus_verdict_matches_the_per_e_loop_in_slabs_of_2m(morphism_corpus,
+                                                                       monkeypatch):
+    # a slab of 2|M| entries splits each [e, s] block into rows of two or
+    # more e, since a row holds at most |M| candidates s
+    refuted = split = 0
+    for i, (_, m) in enumerate(morphism_corpus):
+        order = syntactic_preorder(m)
+        monkeypatch.setattr(membership, "_WHOLE_SWEEP", 2 * m.element_count)
+        for rel in (st_pairs(m), mod_pairs(m), *([amt_pairs(m)] if i < 40 else [])):
+            expected = per_e_pol_group_plus(m, order, rel)
+            assert check_pol_group_plus(m, order, rel) == expected
+            refuted += not expected.member
+            split += len(membership._slabs(len(m.idempotents_s), rel.matrix[m.identity].sum())) > 1
+    assert refuted > 100 and split > 100
 
 
 def test_pol_group_plus_verdict_matches_the_per_e_loop_on_ladders():
@@ -786,6 +804,32 @@ def test_wgone_peak_does_not_grow_with_the_idempotents():
     assert peak < 16 * n * n * 4
 
 
+def test_gone_peak_stays_within_three_and_a_half_tables():
+    # the key -> index map of the column classes is int16 and summed in place,
+    # and the class bits of the Y are gathered in slabs of Z rows; gathered
+    # whole, through an intp copy of the [Z, t] class indices, they took 3.86
+    # tables; the first call is untraced, so one-time imports stay out
+    m = nth_letter_from_end(8)
+    n = m.element_count
+    rel = st_pairs(m)
+    check_bpol_group(m, rel)
+    verdict, peak = traced_peak(check_bpol_group, m, rel)
+    assert not verdict.member
+    assert peak < 3.5 * n * n * 4
+
+
+def test_pol_sweep_peak_does_not_grow_with_the_sweep():
+    # |E(S)| · |M| = 512 · 1023 entries, swept in [e, s] blocks of at most
+    # _WHOLE_SWEEP entries; blocks of 2^20 entries took 10 MB
+    m = nth_letter_from_end(9)
+    order, rel = syntactic_preorder(m), st_pairs(m)
+    assert (m.element_count, len(m.idempotents_s)) == (1023, 512)
+    check_pol_group_plus(m, order, rel)
+    verdict, peak = traced_peak(check_pol_group_plus, m, order, rel)
+    assert verdict.member
+    assert peak < 32 * membership._WHOLE_SWEEP
+
+
 def test_class_vectors_are_the_omega_powers_of_x_e(morphism_corpus):
     # W[i, x] = (x·e)^ω and C[i, x] = (x·e)^{ω+1} for e = idem[i], against the
     # scalar omega, over E(S) ∪ {1} on the corpus and the ladders up to |M| = 511
@@ -800,6 +844,23 @@ def test_class_vectors_are_the_omega_powers_of_x_e(morphism_corpus):
             omega = [m.omega(v) for v in y]
             assert w[i].tolist() == omega
             assert c[i].tolist() == [m.mul(z, v) for z, v in zip(omega, y)]
+
+
+@pytest.mark.parametrize("order", [5, 181, 182])
+def test_column_classes_index_every_class_on_both_sides_of_int16(order):
+    # in the cyclic group of `order`, e = 1 and (Zt)^ω = 1, so the column class
+    # of (1, Z, t) is (Zt, t): order² classes, 32 761 at 181 and 33 124 at
+    # 182, the first count that an int16 key -> index map cannot hold
+    m = transition_monoid(minimize(compile_dfa("(" + "a" * order + ")*", "a")))
+    table = np.ascontiguousarray(m.table, dtype=np.int32)
+    e = np.array([m.identity], dtype=np.int32)
+    local = np.zeros((1, 1, 1), dtype=np.int32)
+    vectors = membership._class_vectors(table, membership._omega_all(m), e)
+    ezf = products(table, table[e][:, :, None], e)         # [i, s, f] -> e s f = s
+    col, v_e, v_c, v_d = membership._column_classes(table, vectors, e, local, ezf)
+    assert len(v_e) == order * order and not v_e.any()
+    t = np.broadcast_to(np.arange(order), (order, order))
+    assert np.array_equal(v_c[col[0]], table) and np.array_equal(v_d[col[0]], t)
 
 
 def counted_column_classes(monkeypatch):
@@ -1121,6 +1182,29 @@ def test_non_positive_budgets_are_usage_errors(budget):
     for basis in ("st", "amt"):
         with pytest.raises(UsageError, match=f"^node_budget must be positive, got {budget}$"):
             pair_relation(m, basis, node_budget=budget)
+
+
+@pytest.mark.parametrize("budget", [0, -2, True, 2.5])
+def test_stage_budgets_are_usage_errors(budget):
+    # every stage that takes a budget checks it as decide does, where it
+    # would have given an empty or one-base cover, a bare TypeError or a
+    # BudgetError such as "exceeded the state budget (True)"; a cover's cap
+    # of 0 bases stays valid: it cuts the cover before its first base
+    d = minimize(compile_dfa("(aa)*", "a"))
+    m = transition_monoid(d)
+    if budget != 0:
+        with pytest.raises(UsageError, match="^max_bases must be a non-negative integer, "
+                           f"got {budget!r}$"):
+            pgcov_cover(d, d, max_bases=budget)
+    wrong = "positive" if type(budget) is int else "an integer"
+    for name, stage in (("state_budget", lambda b: up_arrow(d, "a", state_budget=b)),
+                        ("state_budget", lambda b: compile_dfa("(aa)*", "a", state_budget=b)),
+                        ("state_budget", lambda b: minimal_dfa("(aa)*", "a", state_budget=b)),
+                        ("state_budget", lambda b: minimal_dfa(d, state_budget=b)),
+                        ("element_budget", lambda b: transition_monoid(d, element_budget=b)),
+                        ("node_budget", lambda b: amt_pairs(m, node_budget=b))):
+        with pytest.raises(UsageError, match=f"^{name} must be {wrong}, got {budget!r}$"):
+            stage(budget)
 
 
 def test_small_budget_letter_count_verdicts_are_exact():

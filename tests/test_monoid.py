@@ -208,6 +208,25 @@ def test_preorder_stays_within_a_few_tables_of_memory():
     assert peak < 6 * n * n
 
 
+def test_preorder_ands_its_translates_into_one_table():
+    # each translate is ANDed into leq in place: leq and the two gather
+    # passes of one translate, 3|M|² bytes; a round's copy of leq took 5.2
+    m = transition_monoid(ladder_dfa(7))
+    n = m.element_count
+    _, peak = traced_peak(syntactic_preorder, m)
+    assert peak < 4 * n * n
+
+
+def test_table_fill_stays_within_two_tables():
+    # the fill's gathers run in blocks of at most 2^16 entries; blocks of
+    # 2^20 entries, each with an intp copy of its index, took 2.34 tables
+    d = ladder_dfa(9)
+    m, peak = traced_peak(transition_monoid, d)
+    n = m.element_count
+    assert n == 1023
+    assert peak < 2 * n * n * 4
+
+
 def test_preorder_axioms(morphism_corpus):
     rng = random.Random(718)
     for _, m in morphism_corpus[:30]:
