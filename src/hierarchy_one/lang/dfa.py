@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from itertools import chain, compress, repeat
+from itertools import compress
 from typing import Callable, Hashable, Iterable, Mapping, Optional, Sequence, Union as TyUnion
 
 from ..errors import (AlphabetError, BudgetError, DEFAULT_STATE_BUDGET, UsageError, budget_from_env,
@@ -35,6 +35,14 @@ class Dfa:
 
     `delta[q][i]` is the successor of state `q` on `alphabet[i]`. The table
     must be total; the alphabet must be sorted (use `normalize_alphabet`).
+
+    Automata are checked where they enter: this constructor checks every
+    field, and `dfa_from_dict` also checks that each JSON value is an
+    integer. The automata that `determinize`, `minimize` and `combine` build
+    are made by `_built` and not checked again: `explore` numbers their rows,
+    so they are valid by construction.
+    `tests/test_explore.py::test_built_automata_pass_the_constructor_checks`
+    holds that invariant.
     """
 
     alphabet: tuple[str, ...]
@@ -57,17 +65,25 @@ class Dfa:
             raise ValueError("final state out of range")
         if len(self.delta) != self.states:
             raise ValueError("transition table must have one row per state")
-        # The whole table in C-level calls; the row loop runs only to name
-        # the first bad state.
-        flat = tuple(chain.from_iterable(self.delta))
-        if (set(map(len, self.delta)) != {len(self.alphabet)}
-                or not all(map(isinstance, flat, repeat(int)))
-                or (flat and not (min(flat) >= 0 and max(flat) < self.states))):
-            for q, row in enumerate(self.delta):
-                if len(row) != len(self.alphabet):
-                    raise ValueError(f"state {q}: transition row is not total")
-                if not all(isinstance(t, int) and 0 <= t < self.states for t in row):
-                    raise ValueError(f"state {q}: transition target out of range")
+        for q, row in enumerate(self.delta):
+            if len(row) != len(self.alphabet):
+                raise ValueError(f"state {q}: transition row is not total")
+            if not all(isinstance(t, int) and 0 <= t < self.states for t in row):
+                raise ValueError(f"state {q}: transition target out of range")
+
+    @classmethod
+    def _built(cls, alphabet: tuple[str, ...], initial: int, finals: Iterable[int],
+               rows: Sequence[Sequence[int]]) -> Dfa:
+        """The automaton of `rows` as `explore` numbers them, one row per
+        state, over an alphabet already checked: normalised as the
+        constructor does, but not checked again."""
+        d = object.__new__(cls)
+        object.__setattr__(d, "alphabet", tuple(alphabet))
+        object.__setattr__(d, "states", len(rows))
+        object.__setattr__(d, "initial", initial)
+        object.__setattr__(d, "finals", frozenset(finals))
+        object.__setattr__(d, "delta", tuple(map(tuple, rows)))
+        return d
 
     def symbol_index(self, symbol: str) -> int:
         try:
@@ -95,13 +111,22 @@ def dfa_to_dict(d: Dfa) -> dict:
     }
 
 
+def _json_int(value, name: str) -> int:
+    """`value` when it is a JSON integer (an int, not a bool); ValueError
+    naming the field `name` otherwise."""
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise ValueError(f"malformed DFA document: {name} must be an integer, got {value!r}")
+    return value
+
+
 def dfa_from_dict(data: Mapping) -> Dfa:
-    """Build a Dfa from the JSON shape; rejects partial transition tables."""
+    """Build a Dfa from the JSON shape; rejects partial transition tables
+    and values that are not JSON integers where integers belong."""
     try:
         alphabet = normalize_alphabet(data["alphabet"])
-        states = int(data["states"])
-        initial = int(data["initial"])
-        finals = frozenset(int(q) for q in data["finals"])
+        states = _json_int(data["states"], "states")
+        initial = _json_int(data["initial"], "initial")
+        finals = frozenset(_json_int(q, f"finals[{i}]") for i, q in enumerate(data["finals"]))
         raw_delta = data["delta"]
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed DFA document: {exc}") from exc
@@ -117,9 +142,10 @@ def dfa_from_dict(data: Mapping) -> Dfa:
     columns = {}
     for sym in alphabet:
         try:
-            columns[sym] = [int(t) for t in raw_delta[sym]]
-        except (TypeError, ValueError) as exc:
+            column = list(raw_delta[sym])
+        except TypeError as exc:
             raise ValueError(f"malformed DFA document: delta[{sym!r}]: {exc}") from exc
+        columns[sym] = [_json_int(t, f"delta[{sym!r}][{q}]") for q, t in enumerate(column)]
         if len(columns[sym]) != states:
             raise ValueError(f"delta[{sym!r}] must list all {states} states")
     delta = tuple(
@@ -267,13 +293,8 @@ def determinize(
         return row
 
     order, rows = explore(initial, successors, budget, stage=stage)
-    return Dfa(
-        alphabet=alphabet,
-        states=len(order),
-        initial=0,
-        finals=frozenset(i for i, subset in enumerate(order) if subset & accepting),
-        delta=rows,
-    )
+    return Dfa._built(alphabet, 0, (i for i, subset in enumerate(order) if subset & accepting),
+                      rows)
 
 
 def compile_dfa(
@@ -350,13 +371,8 @@ def minimize(d: Dfa) -> Dfa:
     rep = [min(block) for block in blocks]
     order, out_delta = explore(
         block_of[d.initial], lambda b: [block_of[t] for t in d.delta[rep[b]]])
-    return Dfa(
-        alphabet=d.alphabet,
-        states=len(order),
-        initial=0,
-        finals=frozenset(i for i, b in enumerate(order) if rep[b] in finals),
-        delta=out_delta,
-    )
+    return Dfa._built(d.alphabet, 0, (i for i, b in enumerate(order) if rep[b] in finals),
+                      out_delta)
 
 
 def input_alphabet(
@@ -419,16 +435,10 @@ def combine(x: Dfa, y: Dfa, op: str) -> Dfa:
         lambda pair: zip(x.delta[pair[0]], y.delta[pair[1]]),
         budget_from_env(DEFAULT_STATE_BUDGET),
         stage=f"{op} product: DFAs with {x.states} and {y.states} states")
-    finals = frozenset(
-        i for i, (qx, qy) in enumerate(order) if keep(qx in x.finals, qy in y.finals)
-    )
-    return Dfa(
-        alphabet=x.alphabet,
-        states=len(order),
-        initial=0,
-        finals=finals,
-        delta=rows,
-    )
+    return Dfa._built(
+        x.alphabet, 0,
+        (i for i, (qx, qy) in enumerate(order) if keep(qx in x.finals, qy in y.finals)),
+        rows)
 
 
 # --- decision helpers ------------------------------------------------------

@@ -331,14 +331,14 @@ def _class_walk(table: np.ndarray, w_vec: np.ndarray, c_vec: np.ndarray, idem: n
             settled[b + li, lx] = True
             return None
         keys = rows[new]
-        fresh = np.unique(keys)
+        fresh, slot = np.unique(keys, return_inverse=True)   # keys == fresh[slot]
         held[fresh] = True
         # the fail relation of the fresh row classes against the column classes of
         # their e, folded into bits: each live X has a bit of its e, and x_fails[bit,
         # column class] says that a row class of that X fails against the class
         bit = live.cumsum(axis=1)[li, lx] - 1
         x_rows = np.zeros((int(bit.max()) + 1, len(fresh)), dtype=bool)   # [bit, fresh]
-        x_rows[np.repeat(bit, new.sum(axis=1)), np.searchsorted(fresh, keys)] = True
+        x_rows[np.repeat(bit, new.sum(axis=1)), slot] = True
         f_e, f_ab = np.divmod(fresh[:, None], nn)
         f_a, f_b = np.divmod(f_ab, n)
         x_fails = np.zeros((len(x_rows), len(v_e) + 1), dtype=bool)   # index -1 reads 0

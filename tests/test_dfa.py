@@ -1,6 +1,7 @@
 """Automaton pipeline tests: compile, minimize, combine, serialize."""
 
 import random
+import re
 from collections import deque
 
 import pytest
@@ -383,6 +384,24 @@ def test_loader_rejects_out_of_range_targets():
     doc["delta"]["a"][0] = 99
     with pytest.raises(ValueError):
         dfa_from_dict(doc)
+
+
+_TWO_STATES = {"alphabet": ["a"], "states": 2, "initial": 0, "finals": [1], "delta": {"a": [1, 0]}}
+
+
+@pytest.mark.parametrize("change, message", [
+    ({"delta": {"a": [1.5, 0]}}, "delta['a'][0] must be an integer, got 1.5"),
+    ({"initial": 0.9}, "initial must be an integer, got 0.9"),
+    ({"finals": [1.2]}, "finals[0] must be an integer, got 1.2"),
+    ({"states": "2", "finals": [True]}, "states must be an integer, got '2'"),
+    ({"finals": [True]}, "finals[0] must be an integer, got True"),
+    ({"delta": {"a": [1, "0"]}}, "delta['a'][1] must be an integer, got '0'"),
+], ids=["float-target", "float-initial", "float-final", "str-states", "bool-final", "str-target"])
+def test_loader_reads_only_json_integers(change, message):
+    # int() used to truncate or parse these, each into the same 2-state DFA
+    assert dfa_from_dict(_TWO_STATES) == Dfa(("a",), 2, 0, frozenset({1}), ((1,), (0,)))
+    with pytest.raises(ValueError, match=f"^malformed DFA document: {re.escape(message)}$"):
+        dfa_from_dict(dict(_TWO_STATES, **change))
 
 
 # --- compilation vs the brute matcher ----------------------------------------

@@ -30,9 +30,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from hierarchy_one import covers
 from hierarchy_one.errors import BudgetError
-from hierarchy_one.lang import Dfa, combine, compile_dfa, minimize, normalize_alphabet
-from hierarchy_one.lang.dfa import _OPS, explore
+from hierarchy_one.lang import Dfa, combine, compile_dfa, minimal_dfa, minimize, normalize_alphabet
+from hierarchy_one.lang import dfa as lang_dfa
+from hierarchy_one.lang.dfa import _OPS, empty_dfa, explore
 from hierarchy_one.lang.patterns import (
     Concat, Empty, Epsilon, Letter, Plus, Star, Union, parse_pattern, pattern_to_text)
 from hierarchy_one.covers import pgcov_cover, up_arrow
@@ -564,3 +566,39 @@ def test_monoid_table_filled_in_blocks_equals_the_bfs_it_replaced(monkeypatch):
         d = random_minimal_dfa(rng, max_states=6, letters=rng.choice(("a", "ab", "abc")))
         assert_same_monoid(d, rng.choice((2, 5, 20000)))
     assert_same_monoid(rotate_and_reset(257), 20000)
+
+
+def test_built_automata_pass_the_constructor_checks(dfa_corpus, monkeypatch):
+    # determinize, minimize and combine make their automata with Dfa._built,
+    # which skips the constructor's checks: what they return, inside every
+    # stage as well as to the caller, must be what the checked constructor
+    # makes of the same fields, with a tuple alphabet, tuple rows and
+    # frozenset finals
+    built = []
+
+    def recording(name, build):
+        def record(*args, **kwargs):
+            built.append((name, build(*args, **kwargs)))
+            return built[-1][1]
+        return record
+
+    for module in (lang_dfa, covers):
+        for name in ("determinize", "minimize", "combine"):
+            monkeypatch.setattr(module, name, recording(name, getattr(module, name)))
+    out = []
+    for i, (d, other) in enumerate(zip(dfa_corpus, dfa_corpus[1:] + dfa_corpus[:1])):
+        out += [minimal_dfa(d), minimize(d), up_arrow(d, "ab"[:i % 3]), empty_dfa(d.alphabet)]
+        out += [combine(d, other, op) for op in _OPS]
+    for k in range(7):
+        h, shorter = compile_dfa(ladder(k), "ab"), compile_dfa(ladder(max(k - 1, 0)), "ab")
+        out += [h, minimal_dfa(ladder(k), "ab"), minimize(h), up_arrow(minimize(h), "ab")]
+        out += [combine(h, shorter, op) for op in _OPS]
+    for target, gaps in BENCHMARK_COVERS:
+        h, l_dfa = compile_dfa(target, "ab"), compile_dfa(gaps, "ab")
+        out += [h, l_dfa]
+        out += [arrow for _, arrow in pgcov_cover(h, l_dfa).entries]
+    assert {name for name, _ in built} == {"determinize", "minimize", "combine"}
+    for d in out + [d for _, d in built]:
+        assert type(d.alphabet) is tuple and type(d.finals) is frozenset
+        assert type(d.delta) is tuple and all(type(row) is tuple for row in d.delta)
+        assert d == Dfa(d.alphabet, d.states, d.initial, d.finals, d.delta)

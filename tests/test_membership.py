@@ -7,6 +7,8 @@ share no code with the vectorized checkers.
 
 import random
 import re
+import subprocess
+import sys
 import time
 from dataclasses import replace
 
@@ -828,6 +830,23 @@ def test_pol_sweep_peak_does_not_grow_with_the_sweep():
     verdict, peak = traced_peak(check_pol_group_plus, m, order, rel)
     assert verdict.member
     assert peak < 32 * membership._WHOLE_SWEEP
+
+
+@pytest.mark.parametrize("k, plus", [(7, False), (4, True)], ids=["GONE", "WGONE"])
+def test_class_walk_does_not_import_numpy_ma(k, plus):
+    # a plain np.unique imports numpy.ma (about 2 MB of resident memory); the
+    # class walk takes its inverse from np.unique(return_inverse=True), which
+    # does not, so a fresh process that decides by a class walk never loads it
+    script = (
+        "import sys\n"
+        "from hierarchy_one import membership\n"
+        "walk, walks = membership._class_walk, []\n"
+        "membership._class_walk = lambda *args: walks.append(1) or walk(*args)\n"
+        f"membership.decide('(a|b)*a' + '(a|b)' * {k}, 'ab', 'st', 'bpol', {plus})\n"
+        "print(len(walks), 'numpy.ma' in sys.modules)\n")
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          timeout=120, check=True)
+    assert proc.stdout.split() == ["1", "False"]
 
 
 def test_class_vectors_are_the_omega_powers_of_x_e(morphism_corpus):

@@ -199,8 +199,9 @@ def test_preorder_agrees_with_full_context_scan_on_ladders(k):
 
 
 def test_preorder_stays_within_a_few_tables_of_memory():
-    # a round holds leq, the previous round's leq, a row-gathered copy and
-    # the translates of one generator: about 5.2 |M|² bytes at |M| = 255
+    # leq, the row-gathered copy of one translate and its column gather are
+    # live at once, about 3 |M|² bytes at |M| = 255; the bound leaves room
+    # for a few more tables
     m = transition_monoid(ladder_dfa(7))
     n = m.element_count
     assert n == 255
