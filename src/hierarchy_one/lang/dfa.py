@@ -29,6 +29,11 @@ from .patterns import (
 )
 
 
+def _is_int(value) -> bool:
+    """Whether `value` is an int and not a bool."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class Dfa:
     """A complete deterministic automaton.
@@ -37,10 +42,12 @@ class Dfa:
     must be total; the alphabet must be sorted (use `normalize_alphabet`).
 
     Automata are checked where they enter: this constructor checks every
-    field, and `dfa_from_dict` also checks that each JSON value is an
-    integer. The automata that `determinize`, `minimize` and `combine` build
-    are made by `_built` and not checked again: `explore` numbers their rows,
-    so they are valid by construction.
+    field, `states`, `initial`, each final and each transition target being
+    an int and not a bool, and `dfa_from_dict` also checks that each JSON
+    value is an integer, naming it by its place in the document. The
+    automata that `determinize`, `minimize` and `combine` build are made by
+    `_built` and not checked again: `explore` numbers their rows, so they
+    are valid by construction.
     `tests/test_explore.py::test_built_automata_pass_the_constructor_checks`
     holds that invariant.
     """
@@ -57,6 +64,10 @@ class Dfa:
         object.__setattr__(self, "delta", tuple(map(tuple, self.delta)))
         if tuple(sorted(self.alphabet)) != self.alphabet:
             raise AlphabetError(f"alphabet must be sorted, got {self.alphabet!r}")
+        for name, value in (("states", self.states), ("initial state", self.initial),
+                            *(("final state", q) for q in self.finals)):
+            if not _is_int(value):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.states < 1:
             raise ValueError("a complete DFA needs at least one state")
         if not 0 <= self.initial < self.states:
@@ -68,7 +79,7 @@ class Dfa:
         for q, row in enumerate(self.delta):
             if len(row) != len(self.alphabet):
                 raise ValueError(f"state {q}: transition row is not total")
-            if not all(isinstance(t, int) and 0 <= t < self.states for t in row):
+            if not all(_is_int(t) and 0 <= t < self.states for t in row):
                 raise ValueError(f"state {q}: transition target out of range")
 
     @classmethod
@@ -114,7 +125,7 @@ def dfa_to_dict(d: Dfa) -> dict:
 def _json_int(value, name: str) -> int:
     """`value` when it is a JSON integer (an int, not a bool); ValueError
     naming the field `name` otherwise."""
-    if not isinstance(value, int) or isinstance(value, bool):
+    if not _is_int(value):
         raise ValueError(f"malformed DFA document: {name} must be an integer, got {value!r}")
     return value
 

@@ -8,13 +8,19 @@ class of (e, X = eqf, r) and a column class of (e, Y = esf, t), both read
 off the class vectors W_e[x] = (x·e)^ω and C_e[x] = (x·e)^{ω+1} of e: the
 row class is (W_e[X·r], W_e[X·r]·X), the column class (C_e[Y·t],
 t·W_e[Y·t]). The sweeps multiply arrays of elements by one gather,
-`monoid.products`. A sweep of pairs · |E|² · |M|² ≤ _WHOLE_SWEEP entries
-is read off whole by `_whole_sweep`, which evaluates each distinct block
-(e, X, Y) once. A longer one is decided by `_class_walk` from its classes:
-a row class that meets every column class of its e holds for good, and
-each block is decided from which row classes fail against which column
-classes, without evaluating it. Likewise POLG is POLGP with e = 1, and
-both run one Pol sweep. Every refutation is built in one place,
+`monoid.products`. A sweep whose distinct blocks (e, X, Y) hold at most
+_WHOLE_SWEEP (r, t) entries is read off whole by `_whole_sweep`: each block
+is evaluated once, and the first position (q, s, e, f) in sweep order whose
+block fails gives the violation, at that block's first failing (r, t). The
+blocks are counted only for a sweep of at most _WHOLE_SWEEP positions; with
+one idempotent they are taken to be the positions, as they are for GONE.
+Any other sweep is decided by `_class_walk` from its classes: a row class
+that meets every column class of its e holds for good, and each block is
+decided from which row classes fail against which column classes, without
+evaluating it. Below a slab of block entries the walk took 1.0-3.4x as
+long as the whole read-off, 0.07-0.53 ms, on the benchmark's dot-depth
+WGONE sweeps (|M| ≤ 16; see _WHOLE_SWEEP). Likewise POLG is POLGP with
+e = 1, and both run one Pol sweep. Every refutation is built in one place,
 `_violation`. A verdict's witness can be re-derived: its words evaluate to
 its elements, and the equation sides recompute from the elements alone.
 
@@ -171,10 +177,14 @@ def check_pol_group_plus(m: SyntacticMorphism, order: OrderRelation, rel: PairRe
 # class walk stands for (see _class_walk): temporaries of a few tens of MB.
 _ENTRY_CAP = 1 << 20
 
-# Sweeps of at most this many entries are read off whole: deciding one from
-# its classes would take dozens of numpy calls more than that. Longer sweeps
-# build their column classes, fail relations, class bits and witness, and the
-# Pol sweep its [e, s] blocks, in slabs of about this many entries (_slabs).
+# A sweep whose distinct blocks hold at most this many (r, t) entries is read
+# off whole, its blocks counted when its positions (q, s, e, f) are at most
+# this many. On the benchmark's dot-depth WGONE sweeps (|M| ≤ 16, a 2-vCPU
+# x86_64 host) one read off whole took 0.07-0.53 ms and the class walk
+# 1.9-2.9x as long, or 1.0-3.4x where the positions hold more than this many
+# entries. Walked sweeps build their column classes, fail relations, class
+# bits and witness, and the Pol sweep its [e, s] blocks, in slabs of about
+# this many entries (_slabs).
 _WHOLE_SWEEP = 1 << 16
 
 
@@ -252,29 +262,44 @@ def _column_classes(table: np.ndarray, vectors: tuple[np.ndarray, np.ndarray], e
     return (col, v_e, *np.divmod(v_cd, n))
 
 
-def _whole_sweep(table: np.ndarray, w_vec: np.ndarray, c_vec: np.ndarray, idem: np.ndarray,
-                 pairs: np.ndarray) -> Optional[tuple[int, ...]]:
-    """The first violation of a sweep of at most _WHOLE_SWEEP entries, read
-    off whole: every position (q, s, e, f) in sweep order, its block
-    (e, X = eqf, Y = esf) evaluated once however many positions share it."""
+def _sweep_blocks(table: np.ndarray, idem: np.ndarray, pairs: np.ndarray) -> tuple:
+    """The positions (q, s, e, f) of a sweep and its distinct blocks
+    (e, X = eqf, Y = esf): (q, s, at, (e_b, x_b, y_b)), (q[p], s[p]) the
+    p-th pair in sweep order, at[p, i, j] the index of the block of position
+    (q[p], s[p], idem[i], idem[j]), and block b (idem[e_b[b]], x_b[b],
+    y_b[b]), in the order of its key e_b·n² + X·n + Y. The keys are
+    scattered into a k·n² range, which the sweeps enumerated keep within a
+    slab. They are intp, as gathers and scatters would copy keys of another
+    type to intp on every call."""
     n, k = len(table), len(idem)
-    ezf = products(table, table[idem][:, :, None], idem)  # [e index, z, f index] -> e z f
-    q, s, i, j = np.broadcast_to(pairs[:, :, None, None], (n, n, k, k)).nonzero()
-    blk = (i, ezf[i, q, j], ezf[i, s, j])                # (e index, X, Y)
-    seen = np.zeros((k, n, n), dtype=bool)
-    seen[blk] = True
-    i_b, x_b, y_b = seen.nonzero()
-    at = np.empty(seen.shape, dtype=np.int32)
-    at[i_b, x_b, y_b] = np.arange(len(i_b))
-    at = at[blk]                                         # position -> its distinct block
-    lhs, rhs = (side.reshape(len(i_b), -1)[at]
-                for side in _block_sides(table, w_vec, c_vec, i_b, x_b, y_b))
-    h = int((lhs != rhs).argmax())
-    if lhs.flat[h] == rhs.flat[h]:
+    zf = products(table, table[idem].T[:, :, None], idem)              # [z, i, j] -> e z f
+    q, s = pairs.nonzero()
+    key = (np.arange(0, k * n * n, n * n)[:, None] + n * zf).take(q, axis=0) + zf.take(s, axis=0)
+    seen = np.zeros(k * n * n, dtype=bool)
+    seen[key] = True
+    # key -> block index: the count of block keys up to it, less one
+    return q, s, (np.cumsum(seen) - 1).take(key), seen.reshape(k, n, n).nonzero()
+
+
+def _whole_sweep(table: np.ndarray, w_vec: np.ndarray, c_vec: np.ndarray, q: np.ndarray,
+                 s: np.ndarray, at: np.ndarray, blocks: tuple) -> Optional[tuple[int, ...]]:
+    """The first violation of a sweep whose distinct blocks (_sweep_blocks)
+    hold at most _WHOLE_SWEEP (r, t) entries, read off whole: every block is
+    evaluated once, in one _block_sides call, and the first position in
+    sweep order whose block fails gives the violation, at that block's
+    first failing (r, t)."""
+    n = len(table)
+    lhs, rhs = _block_sides(table, w_vec, c_vec, *blocks)
+    neq = (lhs != rhs).reshape(len(lhs), -1)
+    hit = neq.any(axis=1).take(at)
+    u = int(hit.argmax())
+    if not hit.flat[u]:
         return None
-    u, rt = divmod(h, n * n)
-    return (int(q[u]), int(s[u]), int(i[u]), int(j[u]), *divmod(rt, n),
-            int(lhs.flat[h]), int(rhs.flat[h]))
+    p, i, j = np.unravel_index(u, at.shape)
+    b = at.flat[u]
+    h = int(neq[b].argmax())
+    return (int(q[p]), int(s[p]), int(i), int(j), *divmod(h, n),
+            int(lhs[b].flat[h]), int(rhs[b].flat[h]))
 
 
 def _class_walk(table: np.ndarray, w_vec: np.ndarray, c_vec: np.ndarray, idem: np.ndarray,
@@ -420,8 +445,9 @@ def _class_sweep(m: SyntacticMorphism, rel: PairRelation, idem: tuple[int, ...],
     """(Xre)^ω (Yte)^{ω+1} = (Xre)^ω X t (Yte)^ω with X = eqf and Y = esf,
     for every pair (q, s) with q ≠ s, e, f in `idem` and r, t in M, swept
     in the order q, s, e, f, r, t; the Verdict holds its first violation.
-    A sweep of at most _WHOLE_SWEEP entries is read off whole
-    (_whole_sweep), a longer one decided from its classes (_class_walk)."""
+    A sweep whose distinct blocks hold at most _WHOLE_SWEEP entries is read
+    off whole (_whole_sweep), any other decided from its classes
+    (_class_walk)."""
     n = m.element_count
     table = np.ascontiguousarray(m.table, dtype=np.int32)
     idem = np.asarray(idem, dtype=np.int32)
@@ -431,9 +457,20 @@ def _class_sweep(m: SyntacticMorphism, rel: PairRelation, idem: tuple[int, ...],
     np.fill_diagonal(pairs, False)
     if not pairs.any():                      # also when S, and with it idem, is empty
         return Verdict(True, equation)
-    whole = int(pairs.sum()) * len(idem) ** 2 * n * n <= _WHOLE_SWEEP
-    first = (_whole_sweep if whole else _class_walk)(
-        table, *_class_vectors(table, _omega_all(m), idem), idem, pairs)
+    k = len(idem)
+    positions = int(pairs.sum()) * k * k
+    vectors = _class_vectors(table, _omega_all(m), idem)
+    blocks = None
+    # the blocks are counted only where they may fit a slab: every e has one,
+    # so blocks · n² ≥ k · n²; with one idempotent they are not counted but
+    # taken to be the positions, as they are for GONE (X = q and Y = s)
+    if positions * n * n <= _WHOLE_SWEEP or (
+            k > 1 and positions <= _WHOLE_SWEEP and k * n * n <= _WHOLE_SWEEP):
+        blocks = _sweep_blocks(table, idem, pairs)
+    if blocks is not None and len(blocks[-1][0]) * n * n <= _WHOLE_SWEEP:
+        first = _whole_sweep(table, *vectors, *blocks)
+    else:
+        first = _class_walk(table, *vectors, idem, pairs)
     if first is None:
         return Verdict(True, equation)
     q, s, i, j, r, t, lhs, rhs = first

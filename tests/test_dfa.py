@@ -1,9 +1,11 @@
 """Automaton pipeline tests: compile, minimize, combine, serialize."""
 
+import json
 import random
 import re
 from collections import deque
 
+import numpy as np
 import pytest
 
 from hierarchy_one.errors import AlphabetError, BudgetError, PatternError, UsageError
@@ -362,6 +364,24 @@ def test_constructor_names_the_first_bad_state(delta, message):
         Dfa(alphabet=("a", "b"), states=2, initial=0, delta=delta)
 
 
+@pytest.mark.parametrize("fields, message", [
+    ({"states": 2.0}, "states must be an integer, got 2.0"),
+    ({"states": True, "delta": ((0,),)}, "states must be an integer, got True"),
+    ({"initial": 0.0}, "initial state must be an integer, got 0.0"),
+    ({"initial": True}, "initial state must be an integer, got True"),
+    ({"finals": frozenset({1.0})}, "final state must be an integer, got 1.0"),
+    ({"finals": frozenset({False})}, "final state must be an integer, got False"),
+    ({"delta": ((True,), (0,))}, "state 0: transition target out of range"),
+], ids=["float-states", "bool-states", "float-initial", "bool-initial", "float-final",
+        "bool-final", "bool-target"])
+def test_constructor_takes_only_ints_that_are_not_bools(fields, message):
+    # each used to build, equal to a DFA of ints, whose document the loader rejects
+    two_states = {"alphabet": ("a",), "states": 2, "initial": 0, "finals": frozenset({1}),
+                  "delta": ((1,), (0,))}
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        Dfa(**dict(two_states, **fields))
+
+
 # --- serialization -----------------------------------------------------------
 
 
@@ -370,6 +390,35 @@ def test_json_round_trip_on_random_corpus():
     for _ in range(25):
         d = random_minimal_dfa(rng)
         assert dfa_from_dict(dfa_to_dict(d)) == d
+
+
+def test_every_automaton_the_constructor_takes_round_trips_through_json():
+    # fields are ints or values equal to them that are not plain ints: the
+    # constructor takes exactly the automata of plain ints, and each one's
+    # JSON document loads back to it
+    rng = random.Random(2027)
+
+    def field(x):
+        if rng.random() < 0.9:
+            return x
+        return rng.choice([float(x), bool(x) if x in (0, 1) else x, np.int64(x)])
+
+    taken = 0
+    for _ in range(400):
+        n = rng.randint(1, 3)
+        fields = [field(n), field(rng.randrange(n))]
+        fields.append(frozenset(field(q) for q in range(n) if rng.random() < 0.5))
+        fields.append(tuple(tuple(field(rng.randrange(n)) for _ in "ab") for _ in range(n)))
+        plain = all(type(v) is int for v in (*fields[:2], *fields[2], *sum(fields[3], ())))
+        try:
+            d = Dfa(("a", "b"), *fields)
+        except ValueError:
+            assert not plain
+            continue
+        assert plain
+        assert dfa_from_dict(json.loads(json.dumps(dfa_to_dict(d)))) == d
+        taken += 1
+    assert 100 < taken < 300
 
 
 def test_loader_rejects_partial_transition_tables():

@@ -646,7 +646,10 @@ def test_gone_decides_large_monoids_in_seconds(case):
 @pytest.fixture(scope="module")
 def corpus_sweeps(morphism_corpus):
     """(m, rel, GONE verdict, WGONE verdict) of the block loops, for every
-    corpus monoid over ST, MOD and explicit relations of four densities."""
+    corpus monoid over ST, MOD and explicit relations of four densities, and
+    over ST and MOD for 40 seeded random 4-state DFAs with 8 ≤ |M| ≤ 16,
+    whose WGONE sweeps often hold thousands of positions of up to 16² (r, t)
+    entries each but at most a few hundred distinct blocks."""
     rng = random.Random(6007)
     cases = []
     for _, m in morphism_corpus:
@@ -656,6 +659,14 @@ def corpus_sweeps(morphism_corpus):
             relations.append(explicit_pairs(
                 m, [(q, s) for q in range(n) for s in range(n) if rng.random() < density]))
         cases += [(m, rel, loop_gone(m, rel), loop_wgone(m, rel)) for rel in relations]
+    for _ in range(40):
+        m = None
+        while m is None or not 8 <= m.element_count <= 16:
+            delta = tuple(tuple(rng.randrange(4) for _ in "ab") for _ in range(4))
+            finals = frozenset(q for q in range(4) if rng.random() < 0.5)
+            m = transition_monoid(minimize(Dfa(("a", "b"), 4, 0, finals, delta)))
+        cases += [(m, rel, loop_gone(m, rel), loop_wgone(m, rel))
+                  for rel in (st_pairs(m), mod_pairs(m))]
     return cases
 
 
@@ -681,13 +692,30 @@ def test_filtered_sweep_matches_the_block_loops_on_the_corpus(corpus_sweeps, mon
     assert first_q > 600        # violations in the first q, where the walk exits early
 
 
+def sweep_positions(rel, idem):
+    """The positions (q, s, e, f) of the class sweep of `rel` over `idem`."""
+    return (int(rel.matrix.sum()) - int(np.trace(rel.matrix))) * len(idem) ** 2
+
+
 def takes_whole_sweep(m, rel, idem):
     """Whether the class sweep of `rel` over `idem` is read off whole: it has
-    a pair (q, s) with q ≠ s and at most _WHOLE_SWEEP entries."""
+    a pair (q, s) with q ≠ s, and its distinct blocks (e, eqf, esf) hold at
+    most _WHOLE_SWEEP (r, t) entries. They are counted only for a sweep of at
+    most _WHOLE_SWEEP positions (q, s, e, f); with one idempotent they are
+    taken to be the positions."""
     pairs = np.array(rel.matrix, dtype=bool)
     np.fill_diagonal(pairs, False)
-    entries = int(pairs.sum()) * len(idem) ** 2 * m.element_count ** 2
-    return 0 < entries <= membership._WHOLE_SWEEP
+    n, k = m.element_count, len(idem)
+    blocks = positions = sweep_positions(rel, idem)
+    if k > 1 and positions <= membership._WHOLE_SWEEP:
+        q, s = pairs.nonzero()
+        e = np.array(idem)[:, None, None]
+        f = np.array(idem)[None, None, :]
+        i = np.broadcast_to(np.arange(k)[:, None, None], (k, len(q), k))
+        x = m.table[m.table[e, q[None, :, None]], f]          # [i, pair, j] -> e q f
+        y = m.table[m.table[e, s[None, :, None]], f]
+        blocks = len(np.unique(np.stack([i, x, y]).reshape(3, -1), axis=1)[0])
+    return 0 < blocks * n * n <= membership._WHOLE_SWEEP
 
 
 @pytest.mark.parametrize("cap", ["default", "one q and one e"])
@@ -717,15 +745,37 @@ def test_whole_sweep_evaluates_its_blocks_in_one_call(corpus_sweeps, monkeypatch
         return block_sides(*args)
 
     monkeypatch.setattr(membership, "_block_sides", counted)
-    whole = 0
+    whole = by_blocks = 0
     for m, rel, idem, check, expected in cases:
         calls.clear()
         assert check(m, rel) == expected
         if takes_whole_sweep(m, rel, idem):
             assert len(calls) == 1
             whole += 1
+            # more than _WHOLE_SWEEP entries by its positions, read off by its blocks
+            by_blocks += sweep_positions(rel, idem) * m.element_count ** 2 > membership._WHOLE_SWEEP
+        else:
+            assert not calls
     assert whole > 600
+    assert by_blocks >= 20
     assert all(takes_whole_sweep(m, rel, idem) for m, rel, idem, *_ in cases[:4])
+
+
+def test_sweep_read_off_by_its_blocks_peaks_within_three_slabs(corpus_sweeps):
+    # the sweep of most positions that is read off whole by its blocks and not
+    # by its positions: no array of it outgrows a slab of int64 entries much,
+    # where its two int32 sides gathered per position would take
+    # positions · |M|² · 8 bytes
+    slab = membership._WHOLE_SWEEP
+    positions, m, rel = max(
+        ((sweep_positions(rel, m.idempotents_s), m, rel) for m, rel, *_ in corpus_sweeps
+         if sweep_positions(rel, m.idempotents_s) * m.element_count ** 2 > slab
+         and takes_whole_sweep(m, rel, m.idempotents_s)),
+        key=lambda c: c[0])
+    assert positions * m.element_count ** 2 > 40 * slab
+    check_bpol_group_plus(m, rel)
+    _, peak = traced_peak(check_bpol_group_plus, m, rel)
+    assert peak < 3 * 8 * slab
 
 
 def test_filtered_sweep_evaluates_no_block(monkeypatch):
@@ -734,10 +784,10 @@ def test_filtered_sweep_evaluates_no_block(monkeypatch):
     def forbidden(*args):
         raise AssertionError("a filtered sweep evaluated a block")
 
-    m3, m143, m5 = nth_letter_from_end(3), pt_member(), nth_letter_from_end(5)
+    m4, m143, m5 = nth_letter_from_end(4), pt_member(), nth_letter_from_end(5)
     expected = loop_gone(m5, st_pairs(m5))
     monkeypatch.setattr(membership, "_block_sides", forbidden)
-    assert check_bpol_group_plus(m3, st_pairs(m3)).member
+    assert check_bpol_group_plus(m4, st_pairs(m4)).member
     assert check_bpol_group(m143, st_pairs(m143)).member
     verdict = check_bpol_group(m5, st_pairs(m5))
     assert not verdict.member
