@@ -30,12 +30,26 @@ class UsageError(ValueError):
     """A request combines options that the decision procedures do not support."""
 
 
+def is_int(value) -> bool:
+    """Whether `value` is an int and not a bool: the one rule for an integer
+    that a caller or a JSON document passes in."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def json_int(value, name: str) -> int:
+    """`value` when it is an integer by `is_int`; ValueError naming it by
+    `name` otherwise."""
+    if not is_int(value):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return value
+
+
 def positive_budget(value: int | None, source: str) -> int | None:
     """`value` if it is None or a usable budget, a positive int (not a bool);
     UsageError naming `source` if not."""
     if value is None:
         return None
-    if not isinstance(value, int) or isinstance(value, bool):
+    if not is_int(value):
         raise UsageError(f"{source} must be an integer, got {value!r}")
     if value <= 0:
         raise UsageError(f"{source} must be positive, got {value}")

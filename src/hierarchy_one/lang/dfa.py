@@ -14,7 +14,7 @@ from itertools import compress
 from typing import Callable, Hashable, Iterable, Mapping, Optional, Sequence, Union as TyUnion
 
 from ..errors import (AlphabetError, BudgetError, DEFAULT_STATE_BUDGET, UsageError, budget_from_env,
-                      positive_budget)
+                      is_int, json_int, positive_budget)
 from .patterns import (
     Concat,
     Empty,
@@ -27,11 +27,6 @@ from .patterns import (
     normalize_alphabet,
     parse_pattern,
 )
-
-
-def _is_int(value) -> bool:
-    """Whether `value` is an int and not a bool."""
-    return isinstance(value, int) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)
@@ -66,8 +61,7 @@ class Dfa:
             raise AlphabetError(f"alphabet must be sorted, got {self.alphabet!r}")
         for name, value in (("states", self.states), ("initial state", self.initial),
                             *(("final state", q) for q in self.finals)):
-            if not _is_int(value):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
+            json_int(value, name)
         if self.states < 1:
             raise ValueError("a complete DFA needs at least one state")
         if not 0 <= self.initial < self.states:
@@ -79,7 +73,7 @@ class Dfa:
         for q, row in enumerate(self.delta):
             if len(row) != len(self.alphabet):
                 raise ValueError(f"state {q}: transition row is not total")
-            if not all(_is_int(t) and 0 <= t < self.states for t in row):
+            if not all(is_int(t) and 0 <= t < self.states for t in row):
                 raise ValueError(f"state {q}: transition target out of range")
 
     @classmethod
@@ -123,11 +117,9 @@ def dfa_to_dict(d: Dfa) -> dict:
 
 
 def _json_int(value, name: str) -> int:
-    """`value` when it is a JSON integer (an int, not a bool); ValueError
-    naming the field `name` otherwise."""
-    if not _is_int(value):
-        raise ValueError(f"malformed DFA document: {name} must be an integer, got {value!r}")
-    return value
+    """`value` when it is a JSON integer (errors.json_int); ValueError
+    naming the field `name` of the document otherwise."""
+    return json_int(value, f"malformed DFA document: {name}")
 
 
 def dfa_from_dict(data: Mapping) -> Dfa:

@@ -42,7 +42,7 @@ from typing import Callable, Optional, Union as TyUnion
 
 import numpy as np
 
-from .errors import AlphabetError, UsageError, positive_budget
+from .errors import AlphabetError, UsageError, json_int, positive_budget
 from .lang.dfa import Dfa, input_alphabet, minimal_dfa
 # Unused here: perfbench/spans.py traces these names in this module too.
 from .lang.dfa import compile_dfa, minimize  # noqa: F401
@@ -91,12 +91,16 @@ class ViolationWitness:
 
     @staticmethod
     def from_dict(data: dict) -> "ViolationWitness":
-        elements = {k: int(v) for k, v in data.items() if k in ("q", "r", "s", "t", "e", "f")}
+        """The witness `to_dict` wrote; ValueError naming an element or side
+        that is not an integer (errors.json_int)."""
+        def field_int(key):
+            return json_int(data[key], f"witness field {key!r}")
+
         return ViolationWitness(
-            elements=elements,
+            elements={k: field_int(k) for k in data if k in ("q", "r", "s", "t", "e", "f")},
             words={k: str(v) for k, v in data["words"].items()},
-            lhs=int(data["lhs"]),
-            rhs=int(data["rhs"]),
+            lhs=field_int("lhs"),
+            rhs=field_int("rhs"),
         )
 
 
@@ -173,8 +177,8 @@ def check_pol_group_plus(m: SyntacticMorphism, order: OrderRelation, rel: PairRe
     return _pol_sweep(m, order, rel, m.idempotents_s, EQ_POLGP)
 
 
-# Entries of a KNAST sweep block, and the (r, t) entries that one unit of the
-# class walk stands for (see _class_walk): temporaries of a few tens of MB.
+# The (r, t) entries that one unit of the class walk stands for, which it never
+# builds: it sizes the walk's units and nothing else (see _class_walk).
 _ENTRY_CAP = 1 << 20
 
 # A sweep whose distinct blocks hold at most this many (r, t) entries is read
@@ -183,8 +187,8 @@ _ENTRY_CAP = 1 << 20
 # x86_64 host) one read off whole took 0.07-0.53 ms and the class walk
 # 1.9-2.9x as long, or 1.0-3.4x where the positions hold more than this many
 # entries. Walked sweeps build their column classes, fail relations, class
-# bits and witness, and the Pol sweep its [e, s] blocks, in slabs of about
-# this many entries (_slabs).
+# bits and witness, the Pol sweep its [e, s] blocks and KNAST its
+# [(e, f), r, t] blocks, in slabs of about this many entries (_slabs).
 _WHOLE_SWEEP = 1 << 16
 
 
@@ -209,57 +213,51 @@ def _block_sides(table: np.ndarray, w_vec: np.ndarray, c_vec: np.ndarray, i: np.
                  x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """[block, r, t] -> lhs = a·c and rhs = b·d of the blocks (e, X, Y), e
     the idempotent of row i of the class vectors: (a, b) is the row class of
-    (e, X, r) and (c, d) the column class of (e, Y, t). The vectors are read
-    by plain indexing: a whole sweep's arrays are small, and there one numpy
-    call costs less than the three of a flat gather."""
+    (e, X, r) and (c, d) the column class of (e, Y, t)."""
     i = i[:, None]
     yt = table[y]                                            # [block, t] -> Y t
-    a = w_vec[i, table[x]]                                   # (Xre)^ω
-    d = products(table, np.arange(len(table)), w_vec[i, yt])
-    lhs = products(table, a[:, :, None], c_vec[i, yt][:, None, :])
+    a = products(w_vec, i, table[x])                         # (Xre)^ω
+    d = products(table, np.arange(len(table)), products(w_vec, i, yt))
+    lhs = products(table, a[:, :, None], products(c_vec, i, yt)[:, None, :])
     rhs = products(table, products(table, a, x[:, None])[:, :, None], d[:, None, :])
     return lhs, rhs
 
 
-def _column_classes(table: np.ndarray, vectors: tuple[np.ndarray, np.ndarray], e: np.ndarray,
-                    local: np.ndarray, ezf: np.ndarray) -> tuple[np.ndarray, ...]:
-    """The column classes of one e block: its i-th e is e[i], with class
-    vectors w_vec[i] and c_vec[i] for (w_vec, c_vec) = `vectors`,
-    local[i, 0, 0] is i and ezf[i, s, f] is e s f. The class (c, d) of
-    (e, Z, t) is keyed i·n² + c·n + d, and the classes kept are those of
-    each Y = esf. Returns [i, Z, t] -> the index of the class of (e, Z, t),
-    read for Z a Y only, and each class's i, c and d by index. Keys, then
-    indices, are written in slabs of Z rows of about _WHOLE_SWEEP entries
-    into the one array returned, and the key -> index map is int16 while
-    fewer than 2^15 classes fit it: no temporary outgrows half that array."""
+def _column_classes(table: np.ndarray, w_e: np.ndarray, c_e: np.ndarray,
+                    ezf: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The column classes of one e, whose class vectors are w_e = W[e] and
+    c_e = C[e] and ezf[s, f] = e s f. The class (c, d) of (e, Z, t) is keyed
+    c·n + d, and the classes kept are those of each Y = esf. Returns
+    [Z, t] -> the index of the class of (e, Z, t), read for Z a Y only, and
+    each class's c and d by index. Keys, then indices, are written in slabs
+    of Z rows of about _WHOLE_SWEEP entries into the one array returned,
+    and the key -> index map is int16 while fewer than 2^15 classes fit it:
+    no temporary outgrows half that array."""
     n = len(table)
-    nn = n * n
-    w_vec, c_vec = vectors
-    is_y = np.zeros((len(e), n), dtype=bool)
-    is_y[local, ezf] = True
+    is_y = np.zeros(n, dtype=bool)
+    is_y[ezf] = True
     t = np.arange(n, dtype=np.int32)
-    slabs = _slabs(n, len(e) * n)
-    col = np.empty((len(e), n, n), dtype=np.int32)
-    marks = np.zeros(len(e) * nn, dtype=bool)
+    slabs = _slabs(n, n)
+    col = np.empty((n, n), dtype=np.int32)
+    marks = np.zeros(n * n, dtype=bool)
     for z in slabs:
         zt = table[z]                                        # Z t
-        d = products(table, t, products(w_vec, local, zt))   # t (Zte)^ω
-        keys = np.add((products(c_vec, local, zt) + local * n) * n, d, out=col[:, z])
-        marks[keys[is_y[:, z]]] = True
+        d = products(table, t, w_e.take(zt))                 # t (Zte)^ω
+        keys = np.add(c_e.take(zt) * n, d, out=col[z])
+        marks[keys[is_y[z]]] = True
     v = marks.nonzero()[0]
     del marks
     # key of a class -> its index: the count of class keys up to it, less one (so
     # -1 below the first), summed in place, where a cast would copy every entry
-    cls = np.zeros(len(e) * nn, dtype=np.int16 if len(v) < 1 << 15 else np.int32)
+    cls = np.zeros(n * n, dtype=np.int16 if len(v) < 1 << 15 else np.int32)
     cls[v] = 1
     cls[0] -= 1
     np.cumsum(cls, out=cls)
     for z in slabs:
-        keys = col[:, z]
+        keys = col[z]
         keys[...] = cls[keys]
     del cls
-    v_e, v_cd = np.divmod(v, nn)
-    return (col, v_e, *np.divmod(v_cd, n))
+    return (col, *np.divmod(v, n))
 
 
 def _sweep_blocks(table: np.ndarray, idem: np.ndarray, pairs: np.ndarray) -> tuple:
@@ -308,94 +306,88 @@ def _class_walk(table: np.ndarray, w_vec: np.ndarray, c_vec: np.ndarray, idem: n
     its classes: a row class of (e, X, r) meets every column class of its e
     (those of every Y = esf) or fails, once and for all.
 
-    The sweep is walked in units, a group of q times a block of e, sized so
-    that the (r, t) entries of a unit's positions (q, s, e, f), which the
-    walk never builds, stay within _ENTRY_CAP: e_block · |E| · |M|³ and
-    group · e_block · |E| · |M|³ are at most _ENTRY_CAP, or the group and
-    block are one q and one e. What the walk does build per unit is the
-    [i, q, s, f] grid of its positions, |M|² times smaller, and the arrays
-    of one e block, e_block · |M|² entries; the fail relation and the class
-    bits of the Y are built in slabs of about _WHOLE_SWEEP entries.
+    The sweep is walked in units, a group of q times one e, sized so that
+    the (r, t) entries of a unit's positions (q, s, e, f), which the walk
+    never builds, stay within _ENTRY_CAP: group · |E| · |M|³ is at most
+    _ENTRY_CAP, or the group is one q. What the walk does build per unit is
+    the [q, s, f] grid of its positions, |M|² times smaller, and the arrays
+    of its e, O(|M|²) entries; the fail relation and the class bits of the
+    Y are built in slabs of about _WHOLE_SWEEP entries.
 
     Each unit evaluates its row classes not yet known to hold against the
-    column classes of their e, and folds that fail relation into bits: a
+    column classes of its e, and folds that fail relation into bits: a
     column class carries the bit of each unsettled X of the unit that has a
     row class failing against it. A block (e, X, Y) fails exactly when a
     column class of Y carries X's bit, and the first violation's (r, t) and
     sides are read off the failing row classes of X and the column classes
     of Y, so no block is evaluated.
 
-    Only one e block's arrays are kept: its ezf, its column classes and the
-    row classes of its e known to hold, O(|M|²) whatever |E(S)| is; the
-    class vectors of every e take 2 · |E| · |M| entries. A later
-    q group that needs another block rebuilds it; which X hold for good is
-    kept for the whole sweep, one bool per (e, X), so a block whose X all
-    hold is skipped."""
+    Only one e's arrays are kept: its ezf, its column classes and its row
+    classes known to hold, O(|M|²) whatever |E(S)| is; the class vectors of
+    every e take 2 · |E| · |M| entries. A later q group that needs another e
+    rebuilds its arrays; which X hold for good is kept for the whole sweep,
+    one bool per (e, X), so an e whose X all hold is skipped."""
     n, k = len(table), len(idem)
-    nn = n * n
     qs = pairs.any(axis=1).nonzero()[0]
-    e_block = min(k, max(1, _ENTRY_CAP // (k * n ** 3)))
-    group = max(1, _ENTRY_CAP // (e_block * k * n ** 3))
-    starts = np.arange(0, k, e_block)        # the first e of each block
-    built = None                             # the first e of the one block kept
+    group = max(1, _ENTRY_CAP // (k * n ** 3))
+    built = None                             # the index of the one e kept
     settled = np.zeros((k, n), dtype=bool)   # [e, X]: every row class of (e, X, r) holds
 
-    def class_first(gq, b, block, x, unset):
-        """The first failing position of the unit (q in gq, e block b), in
-        sweep order, as (q index in gq, s, e index, f index, r, t, lhs, rhs);
-        x[i, q, f] is X = eqf and unset[i, q, f] that X is not settled."""
-        e, local, ezf, (cls, v_e, v_c, v_d), held = block
-        live = np.zeros((len(e), n), dtype=bool)   # [i, X]: an unsettled X of the unit
-        live[local, x] = unset
-        li, lx = live.nonzero()
-        # [live (e, X), r] -> the row class of (e, X, r)
-        a = products(w_vec, b + li[:, None], table[lx])                  # (Xre)^ω
-        rows = (a + li[:, None] * n) * np.intp(n) + products(table, a, lx[:, None])
+    def class_first(gq, i, unit, x, unset):
+        """The first failing position of the unit (q in gq, e = idem[i]), in
+        sweep order, as (q index in gq, s, i, f index, r, t, lhs, rhs);
+        x[q, f] is X = eqf and unset[q, f] that X is not settled."""
+        ezf, (cls, v_c, v_d), held = unit
+        live = np.zeros(n, dtype=bool)       # an unsettled X of the unit
+        live[x] = unset
+        lx = live.nonzero()[0]               # the live X by bit: a live X's bit is its rank
+        # [live X, r] -> the row class of (e, X, r), keyed a·n + b
+        a = w_vec[i].take(table[lx])                                     # (Xre)^ω
+        rows = a * np.intp(n) + products(table, a, lx[:, None])
         new = ~held[rows]
         if not new.any():                    # every row class of these X holds
-            settled[b + li, lx] = True
+            settled[i, lx] = True
             return None
-        keys = rows[new]
-        fresh, slot = np.unique(keys, return_inverse=True)   # keys == fresh[slot]
+        fresh, slot = np.unique(rows[new], return_inverse=True)   # rows[new] == fresh[slot]
         held[fresh] = True
         # the fail relation of the fresh row classes against the column classes of
-        # their e, folded into bits: each live X has a bit of its e, and x_fails[bit,
-        # column class] says that a row class of that X fails against the class
-        bit = live.cumsum(axis=1)[li, lx] - 1
-        x_rows = np.zeros((int(bit.max()) + 1, len(fresh)), dtype=bool)   # [bit, fresh]
-        x_rows[np.repeat(bit, new.sum(axis=1)), slot] = True
-        f_e, f_ab = np.divmod(fresh[:, None], nn)
-        f_a, f_b = np.divmod(f_ab, n)
-        x_fails = np.zeros((len(x_rows), len(v_e) + 1), dtype=bool)   # index -1 reads 0
-        for w in _slabs(len(v_e), len(fresh)):
-            neq = (products(table, f_a, v_c[w]) != products(table, f_b, v_d[w])) & (f_e == v_e[w])
+        # e, folded into bits: x_fails[bit, column class] says that a row class of
+        # the X of that bit fails against the class
+        x_rows = np.zeros((len(lx), len(fresh)), dtype=bool)   # [bit, fresh]
+        x_rows[np.repeat(np.arange(len(lx)), new.sum(axis=1)), slot] = True
+        f_a, f_b = np.divmod(fresh[:, None], n)
+        x_fails = np.zeros((len(lx), len(v_c) + 1), dtype=bool)   # index -1 reads 0
+        for w in _slabs(len(v_c), len(fresh)):
+            neq = products(table, f_a, v_c[w]) != products(table, f_b, v_d[w])
             held[fresh[neq.any(axis=1)]] = False
             x_fails[:, w] = x_rows @ neq
         open_x = (~held[rows]).any(axis=1)     # a row class of X fails
-        settled[b + li, lx] = ~open_x
+        settled[i, lx] = ~open_x
         if not open_x.any():
             return None
-        # [word, i, Y]: the bits of the X that fail against a column class of Y,
-        # and [word, i, X]: the bit of X (none for a settled X); block (e, X, Y)
-        # fails exactly when Y carries X's bit
+        # [word, Y]: the bits of the X that fail against a column class of Y;
+        # block (e, X, Y) fails exactly when Y carries X's bit, which an X
+        # settled before the unit does not have
         words = _bit_words(x_fails)
         size = 8 * words.itemsize
-        y_bits = np.empty(words.shape[:1] + live.shape, dtype=words.dtype)
-        for z in _slabs(n, len(e) * n):
-            np.bitwise_or.reduce(np.take(words, cls[:, z], axis=1), axis=3, out=y_bits[:, :, z])
-        x_bit = np.zeros((len(words),) + live.shape, dtype=words.dtype)
-        x_bit[bit // size, li, lx] = words.dtype.type(1) << (bit % size).astype(words.dtype)
-        hit = (y_bits[:, local, ezf][:, :, None] & x_bit[:, local, x][:, :, :, None]).any(axis=0)
-        cand = hit.transpose(1, 2, 0, 3) & pairs[gq][:, :, None, None]   # [q, s, i, f]
+        y_bits = np.empty((len(words), n), dtype=words.dtype)
+        for z in _slabs(n, n):
+            np.bitwise_or.reduce(np.take(words, cls[z], axis=1), axis=2, out=y_bits[:, z])
+        rank = np.zeros(n, dtype=np.intp)
+        rank[lx] = np.arange(len(lx))
+        bit = rank[x]                                          # [q, f] -> the bit of X
+        y_word = y_bits[(bit // size)[:, None], ezf]           # [q, s, f] -> Y's word of it
+        hit = (y_word >> (bit % size).astype(words.dtype)[:, None]) & 1
+        cand = hit.astype(bool) & unset[:, None] & pairs[gq][:, :, None]   # [q, s, f]
         u = int(cand.argmax())
         if not cand.flat[u]:
             return None
-        qi, s, i, j = np.unravel_index(u, cand.shape)
+        qi, s, j = np.unravel_index(u, cand.shape)
         # the sides a·c and b·d over the row classes (a, b) of X, r in M, and the
         # column classes (c, d) of Y, t in M, in slabs of r; a row class that
         # holds meets them all
-        p = np.flatnonzero((li == i) & (lx == x[i, qi, j]))[0]
-        at = cls[i, ezf[i, s, j]]
+        p = int(np.searchsorted(lx, x[qi, j]))
+        at = cls[ezf[s, j]]
         c, d = v_c[at], v_d[at]
         for rs in _slabs(n, n):
             lhs = products(table, a[p, rs, None], c)
@@ -403,38 +395,33 @@ def _class_walk(table: np.ndarray, w_vec: np.ndarray, c_vec: np.ndarray, idem: n
             h = int((lhs != rhs).argmax())
             if lhs.flat[h] != rhs.flat[h]:
                 r, t = divmod(h, n)
-                return (int(qi), int(s), b + int(i), int(j), rs.start + r, t,
+                return (int(qi), int(s), i, int(j), rs.start + r, t,
                         int(lhs.flat[h]), int(rhs.flat[h]))
         return None
 
     for lo in range(0, len(qs), group):
         gq = qs[lo:lo + group]
         first = None                         # the group's first failing position
-        # [e, q, f] -> X = eqf and whether it may still fail; a block of e
-        # whose X all hold is skipped
+        # [e, q, f] -> X = eqf and whether it may still fail; an e whose X all
+        # hold is skipped
         x_all = products(table, products(table, idem[:, None], gq)[..., None], idem)
         unset = ~products(settled, np.arange(k)[:, None, None], x_all)
-        todo = np.logical_or.reduceat(unset.reshape(k, -1).any(axis=1), starts)
-        for b in starts[todo].tolist():
-            if b != built:
-                # the block's e, the local indices i of its e, [i, z, f] -> ezf,
-                # its column classes and held[i·n² + a·n + b]: the row class
-                # (a, b) of its i-th e meets all of that e's column classes;
-                # the last block's arrays are dropped first
-                block = None
-                e = idem[b:b + e_block]
-                local = np.arange(len(e), dtype=np.int32)[:, None, None]
-                ezf = products(table, table[e][:, :, None], idem)
-                vectors = (w_vec[b:b + e_block], c_vec[b:b + e_block])
-                block = (e, local, ezf, _column_classes(table, vectors, e, local, ezf),
-                         np.zeros(len(e) * nn, dtype=bool))
-                built = b
-            found = class_first(gq, b, block, x_all[b:b + e_block], unset[b:b + e_block])
-            # blocks of one group come in e order, so a tie keeps the earlier
+        for i in unset.reshape(k, -1).any(axis=1).nonzero()[0].tolist():
+            if i != built:
+                # e's [z, f] -> ezf, its column classes and held[a·n + b]: the
+                # row class (a, b) of e meets all of e's column classes; the
+                # last e's arrays are dropped first
+                unit = None
+                ezf = products(table, table[idem[i]][:, None], idem)
+                unit = (ezf, _column_classes(table, w_vec[i], c_vec[i], ezf),
+                        np.zeros(n * n, dtype=bool))
+                built = i
+            found = class_first(gq, i, unit, x_all[i], unset[i])
+            # the e of one group come in sweep order, so a tie keeps the earlier
             if found is not None and (first is None or found[:2] < first[:2]):
                 first = found
             if first is not None and first[:2] == (0, int(pairs[gq[0]].argmax())):
-                break                        # no later block comes first
+                break                        # no later e comes first
         if first is not None:
             return (int(gq[first[0]]), *first[1:])
     return None
@@ -514,9 +501,10 @@ def _check_simon(m: SyntacticMorphism) -> Verdict:
 
 
 def _check_knast(m: SyntacticMorphism) -> Verdict:
-    """KNAST swept one (q, s) of S at a time, all (e, f) in one [(e, f), r, t]
-    block, split along (e, f) past _ENTRY_CAP entries: a block's first
-    entry in C order is the first violation of the q, s, e, f, r, t sweep."""
+    """KNAST swept one (q, s) of S at a time, its [(e, f), r, t] block cut
+    along (e, f) into slabs of about _WHOLE_SWEEP entries (_slabs): a slab's
+    first entry in C order is the first violation of the q, s, e, f, r, t
+    sweep."""
     table = np.ascontiguousarray(m.table, dtype=np.int32)
     omega = _omega_all(m)
     sub = np.fromiter(sorted(m.nonempty_image), dtype=np.int32,
@@ -524,7 +512,7 @@ def _check_knast(m: SyntacticMorphism) -> Verdict:
     idem = np.asarray(m.idempotents_s, dtype=np.int32)
     e_of = np.repeat(idem, len(idem))[:, None]    # [(e, f), 1] -> e
     f_of = np.tile(idem, len(idem))[:, None]      # [(e, f), 1] -> f
-    step = max(1, _ENTRY_CAP // max(1, len(sub) ** 2))
+    slabs = _slabs(len(e_of), len(sub) ** 2)
 
     def guarded_omega(x: int) -> np.ndarray:
         exf = table[table[e_of, x], f_of]
@@ -535,14 +523,14 @@ def _check_knast(m: SyntacticMorphism) -> Verdict:
         head = table[table[x_om, q], f_of[:, :, None]]  # (eqfre)^ω q f
         for s in (int(x) for x in sub):
             y_om = guarded_omega(s)[:, None, :]
-            for lo in range(0, len(e_of), step):
-                y = y_om[lo:lo + step]
-                lhs = table[x_om[lo:lo + step], y]
-                rhs = table[table[head[lo:lo + step], sub], y]
+            for ef in slabs:
+                y = y_om[ef]
+                lhs = table[x_om[ef], y]
+                rhs = table[table[head[ef], sub], y]
                 neq = lhs != rhs
                 if neq.any():
                     at = np.unravel_index(int(np.argmax(neq)), neq.shape)
-                    e, f = int(e_of[lo + at[0], 0]), int(f_of[lo + at[0], 0])
+                    e, f = int(e_of[ef.start + at[0], 0]), int(f_of[ef.start + at[0], 0])
                     r, t = int(sub[at[1]]), int(sub[at[2]])
                     return _violation(m, EQ_KNAST, dict(zip("qrstef", (q, r, s, t, e, f))),
                                       lhs[at], rhs[at])
@@ -742,21 +730,25 @@ class Report:
     @staticmethod
     def from_dict(data: dict) -> "Report":
         """The Report `to_dict` wrote; ValueError naming a required field that
-        is missing or a flag that is not a JSON boolean."""
+        is missing, a flag that is not a JSON boolean or a count that is not
+        an integer (errors.json_int; pair_count may also be null)."""
         for key in ("input", "alphabet", "basis", "level", "plus", "dfa_states", "monoid_size",
                     "member", "equation", "certified"):
             if key not in data:
                 raise ValueError(f"report field {key!r} is missing")
             if key in ("plus", "member", "certified") and not isinstance(data[key], bool):
                 raise ValueError(f"report field {key!r} must be true or false, got {data[key]!r}")
+        for key in ("dfa_states", "monoid_size", "pair_count"):
+            if key != "pair_count" or data.get(key) is not None:
+                json_int(data[key], f"report field {key!r}")
         return Report(
             input_text=data["input"],
             alphabet=tuple(data["alphabet"]),
             basis=data["basis"],
             level=data["level"],
             plus=data["plus"],
-            dfa_states=int(data["dfa_states"]),
-            monoid_size=int(data["monoid_size"]),
+            dfa_states=data["dfa_states"],
+            monoid_size=data["monoid_size"],
             member=data["member"],
             equation=data["equation"],
             certified=data["certified"],

@@ -195,15 +195,33 @@ def loop_knast(m):
     return Verdict(True, EQ_KNAST)
 
 
-def test_knast_first_violation_matches_the_block_loop(morphism_corpus):
-    refuted = 0
+def test_knast_first_violation_matches_the_block_loop(morphism_corpus, monkeypatch):
+    # a slab of 2|S|² entries holds two (e, f), so each (q, s) of a monoid with
+    # |E(S)| ≥ 2 spans several slabs
+    refuted = split = 0
     for _, m in morphism_corpus:
+        expected = loop_knast(m)
         verdict = check_specialized(m, EQ_KNAST)
-        assert verdict == loop_knast(m)
+        assert verdict == expected
+        with monkeypatch.context() as patch:
+            patch.setattr(membership, "_WHOLE_SWEEP", 2 * len(m.nonempty_image) ** 2)
+            assert check_specialized(m, EQ_KNAST) == expected
+        split += len(m.idempotents_s) ** 2 > 2
         if not verdict.member:
             assert verify_witness(m, verdict)
             refuted += 1
-    assert refuted > 50
+    assert refuted > 50 and split > 50
+
+
+def test_knast_peak_stays_within_a_few_slabs():
+    # |M| = 31, |E(S)| = 16: each (q, s) block of 256 (e, f) · 30² (r, t)
+    # entries is cut into slabs of _WHOLE_SWEEP entries (1.3 MB traced); cut
+    # at 2^20 entries, the sweep peaked at 4.1 MB
+    m = nth_letter_from_end(4)
+    assert (m.element_count, len(m.idempotents_s)) == (31, 16)
+    verdict, peak = traced_peak(check_specialized, m, EQ_KNAST)
+    assert verdict.member
+    assert peak < 4 * 8 * membership._WHOLE_SWEEP
 
 
 # --- golden verdicts ----------------------------------------------------------
@@ -846,8 +864,8 @@ def test_gone_peak_stays_within_five_tables():
 
 
 def test_wgone_peak_does_not_grow_with_the_idempotents():
-    # |E(S)| = 128 e blocks, of which the sweep keeps one; keeping every
-    # block's column classes and row classes took 60.7 MB
+    # |E(S)| = 128 idempotents, of which the sweep keeps the arrays of one;
+    # keeping every e's column classes and row classes took 60.7 MB
     m = nth_letter_from_end(7)
     n = m.element_count
     assert (n, len(m.idempotents_s)) == (255, 128)
@@ -923,42 +941,42 @@ def test_column_classes_index_every_class_on_both_sides_of_int16(order):
     m = transition_monoid(minimize(compile_dfa("(" + "a" * order + ")*", "a")))
     table = np.ascontiguousarray(m.table, dtype=np.int32)
     e = np.array([m.identity], dtype=np.int32)
-    local = np.zeros((1, 1, 1), dtype=np.int32)
-    vectors = membership._class_vectors(table, membership._omega_all(m), e)
-    ezf = products(table, table[e][:, :, None], e)         # [i, s, f] -> e s f = s
-    col, v_e, v_c, v_d = membership._column_classes(table, vectors, e, local, ezf)
-    assert len(v_e) == order * order and not v_e.any()
+    (w,), (c,) = membership._class_vectors(table, membership._omega_all(m), e)
+    ezf = products(table, table[m.identity][:, None], e)   # [s, f] -> e s f = s
+    col, v_c, v_d = membership._column_classes(table, w, c, ezf)
+    assert len(v_c) == len(v_d) == order * order
     t = np.broadcast_to(np.arange(order), (order, order))
-    assert np.array_equal(v_c[col[0]], table) and np.array_equal(v_d[col[0]], t)
+    assert np.array_equal(v_c[col], table) and np.array_equal(v_d[col], t)
 
 
 def counted_column_classes(monkeypatch):
-    """Patch membership._column_classes to record the e of each block built."""
+    """Patch membership._column_classes to record the e of each build: the
+    class vector W[e] at the identity, (1·e)^ω = e."""
     built = []
     column_classes = membership._column_classes
 
-    def counted(table, omega, e, *args):
-        built.append(tuple(e.tolist()))
-        return column_classes(table, omega, e, *args)
+    def counted(table, w_e, *args):
+        built.append(w_e)
+        return column_classes(table, w_e, *args)
 
     monkeypatch.setattr(membership, "_column_classes", counted)
     return built
 
 
 def test_wgone_builds_each_e_block_once_on_a_ladder(monkeypatch):
-    # |M| = 127: one e per block, and every q group after the first finds its
-    # blocks settled or the block it needs still built
+    # |M| = 127: every q group after the first finds its e settled or the e it
+    # needs still built
     m = nth_letter_from_end(6)
     built = counted_column_classes(monkeypatch)
     for rel in (st_pairs(m), mod_pairs(m)):
         built.clear()
         assert check_bpol_group_plus(m, rel).member
-        assert built == [(e,) for e in m.idempotents_s]
+        assert [int(w_e[m.identity]) for w_e in built] == list(m.idempotents_s)
 
 
 def test_revisited_e_blocks_are_rebuilt(morphism_corpus, monkeypatch):
     # one q and one e per unit: a later q whose X are not yet settled needs
-    # e blocks again, and a rebuilt block starts with no row class known to
+    # an e again, and its rebuilt arrays start with no row class known to
     # hold; the first violation stays the block loop's
     cases = [(m, rel, loop_wgone(m, rel)) for _, m in morphism_corpus[:40]
              for rel in (st_pairs(m), mod_pairs(m))]
@@ -1039,7 +1057,8 @@ def test_tampered_witness_is_rejected():
 
 
 def test_report_round_trips_through_dict():
-    for pattern, alphabet, basis, level, plus, _ in GOLDEN_VERDICTS[:6]:
+    # the eighth is over GR, whose report has no pair count (null)
+    for pattern, alphabet, basis, level, plus, _ in GOLDEN_VERDICTS[:8]:
         report = decide(pattern, alphabet, basis=basis, level=level, plus=plus)
         assert Report.from_dict(report.to_dict()) == report
 
@@ -1060,6 +1079,30 @@ def test_report_without_a_required_field_is_a_value_error(key):
     del data[key]
     with pytest.raises(ValueError, match=f"^report field '{key}' is missing$"):
         Report.from_dict(data)
+
+
+@pytest.mark.parametrize("key, value", [
+    ("dfa_states", 2.5), ("dfa_states", True), ("dfa_states", "4"), ("monoid_size", "7"),
+    ("dfa_states", None), ("monoid_size", 7.0), ("monoid_size", False), ("pair_count", "x"),
+    ("pair_count", 49.0), ("pair_count", True)])
+def test_report_counts_must_be_json_integers(key, value):
+    data = decide("(a|b)*a(a|b)", "ab").to_dict()
+    with pytest.raises(ValueError, match=f"^report field '{key}' must be an integer, "
+                       f"got {re.escape(repr(value))}$"):
+        Report.from_dict(dict(data, **{key: value}))
+
+
+@pytest.mark.parametrize("key, value", [("q", 1.7), ("s", "0"), ("r", True), ("lhs", True),
+                                        ("rhs", 5.0)])
+def test_witness_elements_and_sides_must_be_json_integers(key, value):
+    data = decide("(a|b)*a(a|b)", "ab").to_dict()
+    assert data["witness"] is not None
+    witness = dict(data["witness"], **{key: value})
+    with pytest.raises(ValueError, match=f"^witness field '{key}' must be an integer, "
+                       f"got {re.escape(repr(value))}$"):
+        ViolationWitness.from_dict(witness)
+    with pytest.raises(ValueError, match=f"^witness field '{key}'"):
+        Report.from_dict(dict(data, witness=witness))
 
 
 def test_report_without_its_optional_fields_still_loads():
