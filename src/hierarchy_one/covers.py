@@ -170,18 +170,31 @@ def _reduce(table: np.ndarray, rows: np.ndarray) -> np.ndarray:
     return rows[:, 0]
 
 
+def _fold(table: np.ndarray, view: np.ndarray, start: int, step: int, reverse: bool) -> None:
+    """view[:, c] ← view[:, c − step]·view[:, c] for c = start, start + 2·step, …
+    in place; the factors are swapped when `reverse`."""
+    right = view[:, start::2 * step]
+    left = view[:, start - step::2 * step][:, :right.shape[1]]
+    right[...] = products(table, right, left) if reverse else products(table, left, right)
+
+
 def _scan(table: np.ndarray, rows: np.ndarray, reverse: bool = False) -> np.ndarray:
     """Inclusive products along each row, x₀⋯xᵢ at column i (xᵢ⋯x_last when
-    `reverse`): a Hillis–Steele scan of table gathers (Hillis & Steele,
-    "Data parallel algorithms", 1986)."""
+    `reverse`): a work-efficient scan of about two table gathers per entry
+    (Blelloch, "Prefix sums and their applications", 1990). The up-sweep
+    leaves at column i the product of the aligned run of 2^k columns that
+    ends there, 2^k the largest power of two dividing i + 1; the down-sweep
+    then puts in front of each run the complete prefix to its left. A
+    reverse scan runs on the mirrored columns with the factors swapped."""
     rows = rows.copy()
-    shift = 1
-    while shift < rows.shape[1]:
-        if reverse:
-            rows[:, :-shift] = products(table, rows[:, :-shift], rows[:, shift:])
-        else:
-            rows[:, shift:] = products(table, rows[:, :-shift], rows[:, shift:])
-        shift *= 2
+    view = rows[:, ::-1] if reverse else rows
+    step = 1
+    while 2 * step <= rows.shape[1]:
+        _fold(table, view, 2 * step - 1, step, reverse)
+        step *= 2
+    while step > 1:
+        step //= 2
+        _fold(table, view, 3 * step - 1, step, reverse)
     return rows
 
 
@@ -236,6 +249,15 @@ class GuardedDecomposition:
                     and (products(m.table, links, right) == right).all())
 
 
+def _word_images(m: SyntacticMorphism, text: str) -> np.ndarray:
+    """`_letter_images` of a slice of a word being decomposed: UsageError
+    naming the first symbol outside the alphabet."""
+    try:
+        return _letter_images(m, text)
+    except KeyError as exc:
+        raise UsageError(f"symbol {exc.args[0]!r} is outside the morphism's alphabet") from None
+
+
 def guarded_decomposition(m: SyntacticMorphism, word: str) -> GuardedDecomposition:
     """Split `word` into blocks glued by idempotent links.
 
@@ -245,39 +267,38 @@ def guarded_decomposition(m: SyntacticMorphism, word: str) -> GuardedDecompositi
     loop between them yields the idempotent link, and the head recurses.
 
     The head always shrinks by |M|²+1 letters, so level ℓ scans the fixed
-    window word[N−(ℓ+1)(|M|²+1) : N−ℓ(|M|²+1)]. Levels are stacked into
-    arrays in chunks of about `_CHUNK_LETTERS` letters: prefix and suffix
-    images by scans, the first collision by a stable sort of each row (a
-    radix sort while the keys fit 16 bits, |M| ≤ 255)."""
+    window word[N−(ℓ+1)(|M|²+1) : N−ℓ(|M|²+1)]: the windows tile the word
+    after its first N mod (|M|²+1) letters. They are stacked into arrays in
+    chunks of about `_CHUNK_LETTERS` letters, front to back, each chunk's
+    letter images read in one pass over one slice of the word (which also
+    names the first symbol outside the alphabet, after the chunks in front
+    of it have been decomposed: the price of reading the word once). Prefix and suffix images
+    come from work-efficient scans, so a word costs O(N) table lookups; the
+    first collision from a stable sort of each row (a radix sort while the
+    keys fit 16 bits, |M| ≤ 255); each loop from a reduction over the
+    widest loop of its chunk."""
     if word == "":
         raise UsageError("the empty word has no block decomposition")
-    unknown = set(word).difference(m.letter_image)
-    if unknown:
-        ch = next(ch for ch in word if ch in unknown)
-        raise UsageError(f"symbol {ch!r} is outside the morphism's alphabet")
     n = len(word)
     width = m.element_count**2 + 1
-    levels = n // width
-    per_chunk = max(1, _CHUNK_LETTERS // width)
-    columns = np.arange(width)
+    head = n % width  # the letters before the first window
+    _word_images(m, word[:head])  # checked first: their symbols come first
+    per_chunk = max(1, _CHUNK_LETTERS // width) * width
     # Keys lie below |M|² < width, so they fit the smallest unsigned type
     # holding width − 1. numpy's stable sort is a radix sort on 8- and
     # 16-bit integers (width ≤ 2^16) and a merge sort on wider ones.
     key_type = np.min_scalar_type(width - 1)
 
-    blocks_rev: list[str] = []
-    links_rev: list[int] = []
-    # Suffix carried from the level below: it extends the *right* end of the
-    # next block emitted, which keeps every link to its right valid (a link
-    # absorbing α(b) on the left also absorbs α(b·u)).
-    carry = ""
-    for first in range(0, levels, per_chunk):
-        last = min(levels, first + per_chunk)
-        tails = [word[n - (level + 1) * width: n - level * width] for level in range(first, last)]
-        letters = _letter_images(m, "".join(tails)).reshape(last - first, width)
+    # The block starting at a window's cut runs on to the next window's cut,
+    # which keeps the link before it valid: e·α(b) = α(b) gives e·α(bu) = α(bu).
+    cuts: list[int] = [0]
+    links: list[int] = []
+    for lo in range(head, n, per_chunk):
+        letters = _word_images(m, word[lo: lo + per_chunk]).reshape(-1, width)
+        rows = np.arange(len(letters))
         prefixes = _scan(m.table, letters)
         suffixes = np.full_like(letters, m.identity)
-        suffixes[:, :-1] = _scan(m.table, letters, reverse=True)[:, 1:]
+        suffixes[:, :-1] = _scan(m.table, letters[:, 1:], reverse=True)
         keys = pair_index(m.element_count, prefixes, suffixes).astype(key_type, copy=False)
         # A stable sort keeps equal keys in position order, so the key after
         # position i, when equal, marks the smallest j > i colliding with i.
@@ -285,20 +306,23 @@ def guarded_decomposition(m: SyntacticMorphism, word: str) -> GuardedDecompositi
         ordered = np.take_along_axis(keys, order, axis=1)
         starts = np.where(ordered[:, 1:] == ordered[:, :-1], order[:, :-1], width)
         at = starts.argmin(axis=1)
-        rows = np.arange(len(tails))
         i_s, j_s = starts[rows, at], order[rows, at + 1]
         # Pigeonhole: width = |M|²+1 (prefix, suffix) image pairs over at
         # most |M|² values, so every row has a collision.
         assert (i_s < width).all()
-        inside = (columns > i_s[:, None]) & (columns <= j_s[:, None])
-        loops = _reduce(m.table, np.where(inside, letters, m.identity))
+        # Each row's cut lies before x_{i+1}, at `after` within the chunk; its
+        # loop x_{i+1}⋯x_j is filled up with the identity to the widest loop
+        # of the chunk.
+        after = rows * width + i_s + 1
+        lengths = j_s - i_s
+        spans = np.arange(lengths.max())
+        loops = letters.take(after[:, None] + spans, mode="clip")
+        loops = _reduce(m.table, np.where(spans < lengths[:, None], loops, m.identity))
         values, which = np.unique(loops, return_inverse=True)
-        links_rev.extend(np.array([m.omega(int(x)) for x in values])[which].tolist())
-        for tail, i in zip(tails, i_s.tolist()):
-            blocks_rev.append(tail[i + 1:] + carry)
-            carry = tail[: i + 1]
-    blocks_rev.append(word[: n - levels * width] + carry)
+        links.extend(np.array([m.omega(int(x)) for x in values])[which].tolist())
+        cuts.extend((lo + after).tolist())
+    cuts.append(n)
     return GuardedDecomposition(
-        blocks=tuple(reversed(blocks_rev)),
-        links=tuple(reversed(links_rev)),
+        blocks=tuple(word[a:b] for a, b in zip(cuts, cuts[1:])),
+        links=tuple(links),
     )

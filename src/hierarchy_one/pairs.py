@@ -32,7 +32,7 @@ from typing import Callable, Iterable, Iterator, Mapping, Optional
 import numpy as np
 
 from .errors import (AlphabetError, BudgetError, DEFAULT_GROUP_NODE_BUDGET, budget_from_env,
-                     positive_budget)
+                     json_int, positive_budget)
 from .lang.dfa import explore
 from .monoid import SyntacticMorphism, first_without_inverse, stable_sequence
 
@@ -173,28 +173,41 @@ def _validate_group_table(table: np.ndarray) -> int:
     return identity
 
 
+def _group_table(rows, n: int) -> np.ndarray:
+    """The n×n table of a group document, given as JSON loads it: a list of
+    n lists of n integers. ValueError naming the first entry, row by row,
+    that is not an integer by errors.json_int."""
+    if n < 1:
+        raise ValueError(f"elements must be positive, got {n}")
+    if not (isinstance(rows, list) and len(rows) == n
+            and all(isinstance(row, list) and len(row) == n for row in rows)):
+        raise ValueError(f"table must be a list of {n} lists of {n} integers")
+    for i, row in enumerate(rows):
+        for j, x in enumerate(row):
+            json_int(x, f"table[{i}][{j}]")
+    # int64, so that an entry past int32 reaches the range check unwrapped
+    return np.array(rows, dtype=np.int64)
+
+
 def group_from_dict(data: Mapping, name: str = "custom") -> GroupPresentation:
     """Load {"elements": n, "table": [[...]], "letter_image": {...}} and
-    validate that it really is a group."""
+    validate that it really is a group. Every number in it must be an
+    integer (errors.json_int); ValueError "malformed group document: …"
+    names the first field that is not."""
     try:
-        n = int(data["elements"])
-        table = np.array(data["table"], dtype=np.int32)
+        n = json_int(data["elements"], "elements")
+        table = _group_table(data["table"], n)
         raw_image = dict(data["letter_image"])
-    except (KeyError, TypeError, ValueError) as exc:
+        image = {sym: json_int(raw_image[sym], f"letter_image[{sym!r}]")
+                 for sym in sorted(raw_image)}
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ValueError(f"malformed group document: {exc}") from exc
-    if table.shape != (n, n):
-        raise ValueError(f"group table must be {n}x{n}")
     identity = _validate_group_table(table)
-    alphabet = tuple(sorted(raw_image))
-    image = {}
-    for sym in alphabet:
-        try:
-            g = int(raw_image[sym])
-        except (TypeError, ValueError) as exc:
-            raise ValueError(f"malformed group document: letter_image[{sym!r}]: {exc}") from exc
+    table = table.astype(np.int32)
+    alphabet = tuple(image)
+    for sym, g in image.items():
         if not 0 <= g < n:
             raise ValueError(f"letter_image[{sym!r}] out of range")
-        image[sym] = g
     action = np.stack([table[:, image[sym]] for sym in alphabet]) if alphabet else np.zeros((0, n), np.int32)
     return GroupPresentation(
         name=str(data.get("name") or name),

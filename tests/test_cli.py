@@ -115,13 +115,17 @@ def test_malformed_dfa_file_is_an_error(tmp_path, capsys, delta):
     assert "error: malformed DFA document" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("doc", [[Z3_DOC], dict(Z3_DOC, letter_image={"a": [1]})],
-                         ids=["top-level-list", "list-letter-image"])
-def test_malformed_group_file_is_an_error(tmp_path, capsys, doc):
+@pytest.mark.parametrize("doc, field", [
+    ([Z3_DOC], ""),
+    (dict(Z3_DOC, letter_image={"a": [1]}), "letter_image['a']"),
+    ({"elements": 2.7, "table": [[0, 1], [1, 0]], "letter_image": {"a": "1", "b": True}}, "elements"),
+    ({"elements": 2, "table": [[0, 1.9], [1, 0]], "letter_image": {"a": 1}}, "table[0][1]"),
+], ids=["top-level-list", "list-letter-image", "float-elements", "float-table-entry"])
+def test_malformed_group_file_is_an_error(tmp_path, capsys, doc, field):
     path = tmp_path / "g.json"
     path.write_text(json.dumps(doc))
     assert main(["decide", "(aa)*", "--alphabet", "a", "--basis", f"group:{path}"]) == 2
-    assert "error: malformed group document" in capsys.readouterr().err
+    assert f"error: malformed group document: {field}" in capsys.readouterr().err
 
 
 def test_bad_pattern_reports_position(capsys):

@@ -1,5 +1,5 @@
-"""Cover and decomposition tests, with a brute-force splitter and the former
-per-base and per-level loops as oracles."""
+"""Cover and decomposition tests, with a brute-force splitter, the former
+per-base and per-level loops and the former Hillis–Steele scan as oracles."""
 
 import random
 import re
@@ -28,7 +28,7 @@ from hierarchy_one.lang import (
     is_permutation_automaton,
     minimize,
 )
-from hierarchy_one.monoid import SyntacticMorphism, transition_monoid
+from hierarchy_one.monoid import SyntacticMorphism, products, transition_monoid
 from tests.conftest import (
     kernel_dfa,
     random_minimal_dfa,
@@ -155,6 +155,22 @@ def loop_guarded_decomposition(m: SyntacticMorphism, word: str) -> GuardedDecomp
         blocks=tuple(reversed(blocks_rev)),
         links=tuple(reversed(links_rev)),
     )
+
+
+def hillis_steele_scan(table: np.ndarray, rows: np.ndarray, reverse: bool = False) -> np.ndarray:
+    """Inclusive products along each row, x₀⋯xᵢ at column i (xᵢ⋯x_last when
+    `reverse`): a Hillis–Steele scan of table gathers (Hillis & Steele,
+    "Data parallel algorithms", 1986), log₂ of the width rounds over the
+    whole array."""
+    rows = rows.copy()
+    shift = 1
+    while shift < rows.shape[1]:
+        if reverse:
+            rows[:, :-shift] = products(table, rows[:, :-shift], rows[:, shift:])
+        else:
+            rows[:, shift:] = products(table, rows[:, :-shift], rows[:, shift:])
+        shift *= 2
+    return rows
 
 
 # --- up arrow ------------------------------------------------------------------
@@ -456,10 +472,39 @@ def _ladder(k):
     return transition_monoid(minimize(compile_dfa("(a|b)*a" + "(a|b)" * (k - 1), "ab")))
 
 
-def test_array_decomposition_matches_the_level_loop(morphism_corpus):
+def _cyclic(period):
+    """Z/period as the monoid of a DFA where a adds 1 and b adds 3."""
+    return transition_monoid(Dfa(
+        alphabet=("a", "b"), states=period, initial=0, finals=frozenset({0}),
+        delta=tuple(((q + 1) % period, (q + 3) % period) for q in range(period))))
+
+
+# Scan widths: every width to 66, each power of two from 2^6 to 2^10 and its
+# neighbours, and 1 100.
+SCAN_WIDTHS = sorted({*range(67), *(2**k + d for k in range(6, 11) for d in (-1, 0, 1)), 1100})
+
+
+def test_work_efficient_scan_matches_hillis_steele(morphism_corpus):
+    # rows of random elements, not only letter images, in both directions
+    rng = np.random.default_rng(2024)
+    monoids = [_ladder(3)] + [_cyclic(p) for p in (15, 16, 255, 256)]
+    monoids.extend(m for _, m in morphism_corpus[:20])
+    assert any(not np.array_equal(m.table, m.table.T) for m in monoids)  # non-commutative
+    for m in monoids:
+        for width in SCAN_WIDTHS:
+            rows = rng.integers(0, m.element_count, size=(3, width), dtype=np.int32)
+            for reverse in (False, True):
+                got = covers._scan(m.table, rows, reverse=reverse)
+                assert got.dtype == np.int32
+                assert np.array_equal(got, hillis_steele_scan(m.table, rows, reverse=reverse)), (
+                    m.element_count, width, reverse)
+
+
+def test_array_decomposition_matches_the_level_loop(morphism_corpus, monkeypatch):
     # lengths around the level edges: a word of length N has N // (b+1)
     # levels for the block bound b = |M|², so b, b+1 and 2(b+1) ± 1 sit on
-    # both sides of the first and second level
+    # both sides of the first and second level; small chunks hold one to a
+    # few windows each, so that long words span many chunks
     rng = random.Random(1357)
     monoids = [_ladder(k) for k in range(1, 6)]
     monoids.append(transition_monoid(minimize(compile_dfa("(ab)*", "ab"))))
@@ -472,9 +517,36 @@ def test_array_decomposition_matches_the_level_loop(morphism_corpus):
         lengths += [rng.randint(1, 5 * b) for _ in range(3)]
         for n in lengths:
             word = "".join(rng.choices(letters, k=n))
-            got = guarded_decomposition(m, word)
-            assert got == loop_guarded_decomposition(m, word), (m.element_count, n)
+            expected = loop_guarded_decomposition(m, word)
+            for chunk in (covers._CHUNK_LETTERS, 1, 16, 45):
+                with monkeypatch.context() as patch:
+                    patch.setattr(covers, "_CHUNK_LETTERS", chunk)
+                    got = guarded_decomposition(m, word)
+                assert got == expected, (m.element_count, n, chunk)
             assert got.verify(m, word)
+
+
+def test_decomposition_names_the_earliest_symbol_outside_the_alphabet(monkeypatch):
+    # two stray symbols: both in the head, the head and a window, one window,
+    # two windows, and with small chunks two chunks; the earlier one is
+    # named, as the level loop names it
+    m = _ladder(2)
+    width = m.element_count**2 + 1
+    rng = random.Random(4321)
+    n = 3 * width + 7  # a head of 7 letters, then three windows
+    word = "".join(rng.choices("ab", k=n))
+    for first, second in [(0, 5), (3, 7 + 10), (7 + 2, 7 + 30), (7 + 40, 7 + width + 1),
+                          (7 + width, n - 1), (n - 2, n - 1)]:
+        for x, y in (("x", "y"), ("y", "x")):
+            bad = word[:first] + x + word[first + 1: second] + y + word[second + 1:]
+            message = f"symbol {x!r} is outside the morphism's alphabet"
+            with pytest.raises(UsageError, match=re.escape(message)):
+                loop_guarded_decomposition(m, bad)
+            for chunk in (covers._CHUNK_LETTERS, 1, 2 * width):
+                with monkeypatch.context() as patch:
+                    patch.setattr(covers, "_CHUNK_LETTERS", chunk)
+                    with pytest.raises(UsageError, match=f"^{re.escape(message)}$"):
+                        guarded_decomposition(m, bad)
 
 
 @pytest.mark.parametrize("period, key_type", [
@@ -483,9 +555,7 @@ def test_decomposition_keys_on_each_side_of_the_radix_widths(period, key_type, m
     # The monoid is Z/period (a adds 1, b adds 3). Keys lie below the width
     # |M|² + 1 and are sorted as uint8 up to width 2^8 (|M| = 15), as
     # uint16 (a radix sort) up to 2^16 (|M| = 255), and merge-sorted past it.
-    m = transition_monoid(Dfa(
-        alphabet=("a", "b"), states=period, initial=0, finals=frozenset({0}),
-        delta=tuple(((q + 1) % period, (q + 3) % period) for q in range(period))))
+    m = _cyclic(period)
     assert m.element_count == period
     width = period**2 + 1
     rng = random.Random(period)
@@ -539,6 +609,18 @@ def test_long_decomposition_stays_within_its_memory_budget():
     decomposition, peak = traced_peak(guarded_decomposition, m, word)
     assert len(decomposition.blocks) == 42  # 40 000 // (31² + 1) levels and the head
     assert peak < 96 * covers._CHUNK_LETTERS
+
+
+def test_longer_decomposition_keeps_no_array_per_letter():
+    # 400 000 letters, 8 000 windows of 50: the call peaks at about 1.6 MB
+    # traced, most of it the 8 001 blocks; one int32 image per letter of the
+    # whole word would add another 1.6 MB
+    m = _ladder(2)
+    assert m.element_count == 7
+    word = "".join(random.Random(8642).choices("ab", k=400_000))
+    decomposition, peak = traced_peak(guarded_decomposition, m, word)
+    assert len(decomposition.blocks) == 8001
+    assert peak < 2_500_000
 
 
 @pytest.mark.parametrize("k", [2, 4])

@@ -322,10 +322,48 @@ def test_group_loader_rejects_out_of_range_letter_images():
         group_from_dict(doc)
 
 
+# Documents that loaded before every number was read through json_int: the
+# first with both letters acting as element 1, the second with a table
+# entry of 1.9 read as element 1.
+FLOAT_ELEMENTS_DOC = {"elements": 2.7, "table": [[0, 1], [1, 0]],
+                      "letter_image": {"a": "1", "b": True}}
+FLOAT_ENTRY_DOC = {"elements": 2, "table": [[0, 1.9], [1, 0]], "letter_image": {"a": 1}}
+
+
+@pytest.mark.parametrize("doc, field", [
+    (FLOAT_ELEMENTS_DOC, "elements must be an integer, got 2.7"),
+    (FLOAT_ENTRY_DOC, "table[0][1] must be an integer, got 1.9"),
+    (dict(FLOAT_ELEMENTS_DOC, elements=2), "letter_image['a'] must be an integer, got '1'"),
+    (dict(FLOAT_ELEMENTS_DOC, elements=2, letter_image={"a": 1, "b": True}),
+     "letter_image['b'] must be an integer, got True"),
+    (dict(Z3_DOC, table=[[0, 1, 2], [1, 2, 0], [2, 0, True]]),
+     "table[2][2] must be an integer, got True"),
+    (dict(Z3_DOC, table=[[0, 1, 2], [1, 2, 0], [2, "0", 1.0]]),
+     "table[2][1] must be an integer, got '0'"),
+    (dict(Z3_DOC, elements=3.0), "elements must be an integer, got 3.0"),
+    (dict(Z3_DOC, elements=0, table=[]), "elements must be positive, got 0"),
+])
+def test_group_loader_reads_every_number_as_a_json_integer(doc, field):
+    with pytest.raises(ValueError, match=f"^malformed group document: {re.escape(field)}$"):
+        group_from_dict(doc)
+
+
 def test_group_loader_rejects_shape_mismatch():
     doc = dict(Z3_DOC, elements=4)
     with pytest.raises(ValueError):
         group_from_dict(doc)
+
+
+@pytest.mark.parametrize("table", [
+    tuple(map(tuple, Z3_DOC["table"])),
+    np.array(Z3_DOC["table"]),
+    [[0, 1, 2], [1, 2, 0]],
+])
+def test_group_table_must_be_a_list_of_lists(table):
+    # the right shape in another container is named as such, not as a size
+    with pytest.raises(ValueError, match=re.escape(
+            "malformed group document: table must be a list of 3 lists of 3 integers")):
+        group_from_dict(dict(Z3_DOC, table=table))
 
 
 def test_trivial_group_pairs_equal_the_full_square():
